@@ -69,8 +69,9 @@ const SUM: &str = r#"
         return_value
 "#;
 
-/// Call-heavy recursion: exercises frame reuse and resolved call sites.
-const FIB: &str = r#"
+/// Call-heavy recursion: exercises frame reuse and resolved call sites
+/// (and, in E16d, per-call stack publication).
+pub(crate) const FIB: &str = r#"
     class Fib
     method main/1 locals=1
         load 0

@@ -2,7 +2,7 @@
 //! applications with distinct workloads, the sampled stacks the VM
 //! profiler thread collects for them, and the accounting overhead.
 //!
-//! Three tables:
+//! Four tables:
 //!
 //! * **E16a** — per-view opcode accounting: instructions, apportioned
 //!   cost, and the busiest opcodes, VM-wide and for each application
@@ -14,6 +14,11 @@
 //!   per-instruction cost with accounting off vs on, interleaved runs,
 //!   round minima. The CI gate on the exported summary is ≤5% (release
 //!   build).
+//! * **E16d** — stack-sampling overhead on a call-heavy recursive `fib`,
+//!   direct interpreter with an explicit profiler: sampling off vs on
+//!   (accounting on in both), interleaved runs, round minima. Every
+//!   interpreted call and return publishes one frame transition, so this
+//!   is the per-call cost E16c's loop (sampling off, no calls) never sees.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -92,6 +97,12 @@ const OVERHEAD_ROUNDS: usize = 41;
 /// Iterations per overhead run.
 const OVERHEAD_N: i64 = 40_000;
 
+/// `fib` argument for E16d: 21,891 `fib` calls (plus `main`) per run.
+const FIB_N: i64 = 20;
+/// Interleaved off/on rounds for E16d (about a millisecond each with
+/// sampling off).
+const SAMPLING_ROUNDS: usize = 31;
+
 static STOP: AtomicBool = AtomicBool::new(false);
 
 struct Ping;
@@ -122,6 +133,15 @@ pub struct E16Summary {
     pub accounting_on_ns: f64,
     /// `(on/off - 1) * 100` — the CI gate is ≤5% on release builds.
     pub overhead_pct: f64,
+    /// E16d: round-minimum `fib(20)` run time with sampling off (µs).
+    pub sampling_off_us: f64,
+    /// E16d: round-minimum `fib(20)` run time with sampling on (µs).
+    pub sampling_on_us: f64,
+    /// E16d: added cost per interpreted call and return with sampling on
+    /// (ns).
+    pub sampling_ns_per_call: f64,
+    /// E16d: `(on/off - 1) * 100` on the call-heavy `fib`.
+    pub sampling_overhead_pct: f64,
 }
 
 /// Everything E16 exports: the scalar summary, the full [`ProfileReport`]
@@ -224,6 +244,53 @@ fn measured_overhead() -> (f64, f64) {
     (off_best, on_best)
 }
 
+/// E16d: `fib(FIB_N)` run time with stack sampling off vs on, on a direct
+/// interpreter with an explicit profiler (accounting on in both), in
+/// interleaved rounds. Returns the `(off_us, on_us)` round minima and the
+/// calls one run makes. No sampler thread runs, so the difference is the
+/// publishers' own per-transition cost. Runs on a fresh thread, whose
+/// location slot registers with this experiment's profiler.
+fn measured_sampling_overhead() -> (f64, f64, u64) {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(sampling_rounds)
+            .join()
+            .expect("E16d rounds complete")
+    })
+}
+
+fn sampling_rounds() -> (f64, f64, u64) {
+    let image = Arc::new(assemble(crate::exp_interp::FIB).expect("fib assembles"));
+    let build = |sampling: bool| {
+        let profiler = Profiler::new();
+        profiler.set_sampling(sampling);
+        Interpreter::new(Arc::clone(&image), Arc::new(NoNatives))
+            .expect("fib interpreter builds")
+            .with_profiler(profiler)
+    };
+    let off = build(false);
+    let on = build(true);
+
+    let run = |i: &Interpreter| i.run("main", vec![Value::Int(FIB_N)]).expect("runs");
+    run(&off);
+    run(&on);
+    let before = off.stats().method_calls();
+    run(&off);
+    let calls = off.stats().method_calls() - before;
+
+    let mut off_best = f64::INFINITY;
+    let mut on_best = f64::INFINITY;
+    for _ in 0..SAMPLING_ROUNDS {
+        let t = Instant::now();
+        run(&off);
+        off_best = off_best.min(t.elapsed().as_nanos() as f64 / 1e3);
+        let t = Instant::now();
+        run(&on);
+        on_best = on_best.min(t.elapsed().as_nanos() as f64 / 1e3);
+    }
+    (off_best, on_best, calls)
+}
+
 /// Runs E16 and returns both the tables and the exported artifacts.
 pub fn e16_profile_full() -> (Vec<Table>, E16Artifacts) {
     let report = scenario_report();
@@ -233,6 +300,9 @@ pub fn e16_profile_full() -> (Vec<Table>, E16Artifacts) {
     } else {
         0.0
     };
+    let (sampling_off_us, sampling_on_us, fib_calls) = measured_sampling_overhead();
+    let sampling_overhead_pct = (sampling_on_us / sampling_off_us - 1.0) * 100.0;
+    let sampling_ns_per_call = (sampling_on_us - sampling_off_us) * 1e3 / fib_calls.max(1) as f64;
 
     let mut e16a = Table::new(
         "E16a",
@@ -286,6 +356,21 @@ pub fn e16_profile_full() -> (Vec<Table>, E16Artifacts) {
     ]);
     e16c.note("interleaved runs, round minima; the CI budget is +5% on release builds.");
 
+    let mut e16d = Table::new(
+        "E16d",
+        "stack-sampling overhead on call-heavy fib(20) (no VM)",
+        &["calls", "sampling off", "sampling on", "per call", "delta"],
+    );
+    e16d.rowd(&[
+        fib_calls.to_string(),
+        format!("{sampling_off_us:.0} us"),
+        format!("{sampling_on_us:.0} us"),
+        format!("{sampling_ns_per_call:+.1} ns"),
+        format!("{sampling_overhead_pct:+.1}%"),
+    ]);
+    e16d.note("each call and return publishes one frame transition; accounting on in both;");
+    e16d.note("interleaved runs, round minima; the CI bound is +300% on release builds.");
+
     let top_opcode = report
         .vm
         .opcodes
@@ -301,10 +386,14 @@ pub fn e16_profile_full() -> (Vec<Table>, E16Artifacts) {
         accounting_off_ns: off_ns,
         accounting_on_ns: on_ns,
         overhead_pct,
+        sampling_off_us,
+        sampling_on_us,
+        sampling_ns_per_call,
+        sampling_overhead_pct,
     };
     let flamegraph = report.flamegraph(None);
     (
-        vec![e16a, e16b, e16c],
+        vec![e16a, e16b, e16c, e16d],
         E16Artifacts {
             summary,
             report,
@@ -326,7 +415,7 @@ mod tests {
     fn e16_profiles_both_apps_and_exports() {
         let _serial = crate::harness::latency_test_guard();
         let (tables, artifacts) = e16_profile_full();
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 4);
         let summary = &artifacts.summary;
         assert!(summary.vm_instructions > 0, "opcodes were accounted");
         assert_eq!(summary.apps_profiled, 2, "both applications got views");

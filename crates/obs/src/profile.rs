@@ -13,24 +13,31 @@
 //!   `AppContext` the executing thread carries) and to the VM-wide view.
 //!
 //! * **Sampled stacks.** Each interpreter thread publishes its current
-//!   method/frame stack into a [`ThreadLoc`] slot. Publication never blocks:
-//!   the publisher replaces the slot's contents under a `try_lock`, so a
-//!   collision with the sampler drops one update and the next frame
-//!   transition re-publishes the full stack. A VM profiler thread calls
+//!   method/frame stack into a [`ThreadLoc`] slot, which holds it already
+//!   collapsed (`a;b;c`). Every frame transition is O(1): a push appends
+//!   one label, a pop truncates one, under a `try_lock` — no copy of the
+//!   rest of the stack, no label refcounting, no allocation once the slot
+//!   has grown. Publication never blocks: a transition that collides with
+//!   the sampler leaves the slot untouched, and the publisher replays it
+//!   with its next successful one, so the slot always shows a stack the
+//!   thread really had. A VM profiler thread calls
 //!   [`Profiler::sample_once`] periodically, folding every live slot into
 //!   weighted collapsed stacks (flamegraph.pl's `a;b;c weight` form) and a
 //!   bounded ring of Chrome trace instant events.
 //!
 //!   The tick is **two-tier** so its cost tracks *activity*, not fleet
-//!   size. A slot that republished since the last tick is scanned and
+//!   size. A slot that moved since the last tick is scanned and
 //!   sampled normally. A slot whose stack has not moved is sampled one
 //!   last time and then *demoted*: it leaves the scan set and joins a
 //!   settled population counted per `(app, collapsed stack)`. Settled
 //!   threads keep accruing weight — in tick units, materialised into the
-//!   view tables lazily on report or when the slot republishes — but cost
+//!   view tables lazily on report or when the slot moves again — but cost
 //!   the tick nothing. Ten thousand parked service mains blocked in the
 //!   same frame are one settled entry, not ten thousand scans every 10 ms;
 //!   re-sampling an unchanged stack adds no information, so none is lost.
+//!   The publisher's side of that bookkeeping (leaving the settled
+//!   population, re-joining the scan set) runs only on its first
+//!   transition after a tick; the rest cost one relaxed load each.
 //!
 //! Writing into the profiler is free of permission checks, like the rest of
 //! the hub; reading a [`ProfileReport`] back out is gated behind
@@ -69,14 +76,17 @@ const MAX_STACKS: usize = 512;
 pub struct ThreadLoc {
     thread: u64,
     app: Option<u64>,
-    frames: Mutex<Vec<Arc<str>>>,
+    frames: Mutex<Published>,
     /// Whether the slot is currently in the sampler's scan set. Entered on
-    /// the first non-empty publication — a thread that never interprets
-    /// never enrolls — and left again when the stack settles.
+    /// the first transition after the slot left it (or was registered) —
+    /// a thread that never publishes never enrolls — and left again when
+    /// the stack settles or stays empty for a tick. Flipped only under the
+    /// profiler's scan-list lock.
     enrolled: AtomicBool,
-    /// Set by every publication, cleared by the sampler tick. Still clear
-    /// at the next tick means the stack has not moved: the slot is demoted
-    /// from per-tick scanning into the settled population.
+    /// Set by the first transition after a sampler tick, cleared by the
+    /// tick. Still clear at the next tick means the stack has not moved:
+    /// the slot is demoted from per-tick scanning into the settled
+    /// population.
     dirty: AtomicBool,
     /// The collapsed stack key this slot is settled under, if demoted.
     settled: Mutex<Option<String>>,
@@ -95,36 +105,122 @@ impl ThreadLoc {
         self.app
     }
 
-    /// Replaces the published stack wholesale. Publisher-side wait-free: a
-    /// `try_lock` miss (the sampler is mid-read) drops this update, and the
-    /// next frame transition publishes the then-current stack. The first
-    /// non-empty publication enrolls the slot in the sampler's scan set —
-    /// until then the sampler does not know the thread exists, which is
-    /// what keeps the per-tick cost proportional to interpreting threads
-    /// rather than to the whole fleet.
-    pub fn publish(&self, frames: &[Arc<str>]) {
-        let published = if let Some(mut slot) = self.frames.try_lock() {
-            slot.clear();
-            slot.extend(frames.iter().cloned());
-            !slot.is_empty()
-        } else {
+    /// Pushes one frame onto the published stack in place: one slot write
+    /// (the label's bytes appended to the collapsed key), no copy of the
+    /// rest of the stack, no allocation once the slot has grown. Returns
+    /// `false` — and changes nothing — when the slot is busy (the sampler
+    /// is mid-read); the publisher then owes the slot this transition and
+    /// replays it with its next successful one (see [`ThreadLoc::apply`]).
+    /// Never blocks.
+    pub fn push(&self, label: &str) -> bool {
+        self.apply(0, &[label])
+    }
+
+    /// Pops the newest published frame in place; `false` when the slot is
+    /// busy, as for [`ThreadLoc::push`].
+    pub fn pop(&self) -> bool {
+        self.apply::<&str>(1, &[])
+    }
+
+    /// Replaces the published stack wholesale; `false` when the slot is
+    /// busy, as for [`ThreadLoc::push`].
+    pub fn publish<S: AsRef<str>>(&self, frames: &[S]) -> bool {
+        self.apply(usize::MAX, frames)
+    }
+
+    /// The general transition: drops the newest `pops` frames (saturating),
+    /// then pushes `pushes`. A publisher that missed the slot folds its
+    /// owed transitions into one such delta and replays it, so the slot
+    /// catches up with the real stack in one write. Publisher-side
+    /// wait-free: a `try_lock` miss returns `false` without touching the
+    /// slot.
+    ///
+    /// Only the first transition after a sampler tick does any
+    /// bookkeeping beyond the slot write — marking the slot dirty, taking
+    /// it out of the settled population, enrolling it in the scan set. The
+    /// tick clears `dirty`, so every later transition until the next tick
+    /// costs one relaxed load on top of the write.
+    pub fn apply<S: AsRef<str>>(&self, pops: usize, pushes: &[S]) -> bool {
+        let Some(mut slot) = self.frames.try_lock() else {
+            return false;
+        };
+        slot.pop(pops);
+        for label in pushes {
+            slot.push(label.as_ref());
+        }
+        drop(slot);
+        if !self.dirty.load(Ordering::Relaxed) {
+            self.moved();
+        }
+        true
+    }
+
+    /// Runs `read` on the published stack in collapsed form (`a;b;c`,
+    /// oldest frame first; empty for an empty stack) with the slot held,
+    /// exactly as the sampler reads it: publishers miss the slot until
+    /// `read` returns.
+    pub fn with_stack<R>(&self, read: impl FnOnce(&str) -> R) -> R {
+        read(&self.frames.lock().key)
+    }
+
+    /// The first transition since the last sampler tick. The `dirty` store
+    /// and `enrolled` load pair with the sampler's `enrolled` store and
+    /// `dirty` re-load (all `SeqCst`): a slot the tick is just demoting or
+    /// dropping is either seen moving by the tick or re-enrolled here.
+    #[cold]
+    fn moved(&self) {
+        self.dirty.store(true, Ordering::SeqCst);
+        let Some(registry) = self.registry.upgrade() else {
             return;
         };
-        self.dirty.store(true, Ordering::Relaxed);
         // A settled slot that moves rejoins the scan set; its owed idle
         // weight is materialised under the *old* key first. The settled
         // guard is released before touching the scan list — the sampler
         // takes those locks in the opposite order.
-        if let Some(key) = self.settled.lock().take() {
-            if let Some(registry) = self.registry.upgrade() {
-                unsettle(&registry, self.app, key);
+        let owed = self.settled.lock().take();
+        if let Some(key) = owed {
+            unsettle(&registry, self.app, key);
+        }
+        // Enrollment flips only under the scan-list lock, on both sides,
+        // so a slot is never listed twice. A slot whose stack moved to
+        // empty enrolls too: the sampler drops it again after one quiet
+        // tick, and enrolling keeps the next push from being stranded.
+        if !self.enrolled.load(Ordering::SeqCst) {
+            let mut threads = registry.threads.lock();
+            if !self.enrolled.swap(true, Ordering::SeqCst) {
+                threads.push(self.me.clone());
             }
         }
-        if published && !self.enrolled.swap(true, Ordering::Relaxed) {
-            if let Some(registry) = self.registry.upgrade() {
-                registry.threads.lock().push(self.me.clone());
-            }
+    }
+}
+
+/// A published stack, kept in the collapsed form the sampler folds: the
+/// `a;b;c` key itself plus where each frame's label starts, so a push
+/// appends and a pop truncates.
+#[derive(Default)]
+struct Published {
+    key: String,
+    starts: Vec<usize>,
+}
+
+impl Published {
+    fn push(&mut self, label: &str) {
+        if !self.starts.is_empty() {
+            self.key.push(';');
         }
+        self.starts.push(self.key.len());
+        self.key.push_str(label);
+    }
+
+    fn pop(&mut self, frames: usize) {
+        let keep = self.starts.len().saturating_sub(frames);
+        if keep == self.starts.len() {
+            return;
+        }
+        // Cut at the popped frame's start, taking its `;` separator too.
+        let cut = self.starts[keep].saturating_sub(1);
+        self.starts.truncate(keep);
+        self.key.truncate(cut);
     }
 }
 
@@ -207,7 +303,7 @@ struct SampleEvent {
 /// One settled population: `count` demoted threads share this exact
 /// collapsed stack and have accrued nothing since `settle_tick`. Their
 /// owed weight (`count × elapsed ticks × tick interval`) is materialised
-/// into the view tables lazily — on report, or when a member republishes
+/// into the view tables lazily — on report, or when a member moves
 /// or exits — so the population costs the sampler tick nothing.
 struct SettledEntry {
     count: u64,
@@ -412,14 +508,14 @@ impl Profiler {
     /// (`None` = the VM bucket, e.g. detached threads). The returned slot
     /// is what the thread publishes its frame stack into; dropping it
     /// (thread exit) retires the slot at the next sampler tick. The slot
-    /// only enters the sampler's scan set on its first non-empty
-    /// [`ThreadLoc::publish`]: threads that never run interpreted code —
-    /// e.g. ten thousand parked service mains — add nothing to the tick.
+    /// only enters the sampler's scan set on its first frame transition
+    /// ([`ThreadLoc::push`]): threads that never publish a frame add
+    /// nothing to the tick.
     pub fn register_thread(&self, app: Option<u64>) -> Arc<ThreadLoc> {
         Arc::new_cyclic(|me| ThreadLoc {
             thread: trace::thread_ordinal(),
             app,
-            frames: Mutex::new(Vec::new()),
+            frames: Mutex::new(Published::default()),
             enrolled: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
             settled: Mutex::new(None),
@@ -430,11 +526,11 @@ impl Profiler {
 
     /// Takes one sampling pass over the *active* scan set, weighting each
     /// observed stack by `interval_us` (the time since the previous pass).
-    /// A slot that did not republish since the last tick is sampled one
+    /// A slot whose stack did not move since the last tick is sampled one
     /// final time and demoted to the settled population; it rejoins the
-    /// scan on its next publication. Returns how many threads were scanned
-    /// on-stack this tick (settled threads accrue out of band). Called by
-    /// the VM profiler thread; a no-op while sampling is off.
+    /// scan on its next frame transition. Returns how many threads were
+    /// scanned on-stack this tick (settled threads accrue out of band).
+    /// Called by the VM profiler thread; a no-op while sampling is off.
     pub fn sample_once(&self, interval_us: u64) -> usize {
         if !self.sampling_enabled() {
             return 0;
@@ -450,31 +546,36 @@ impl Profiler {
         let mut keep = Vec::with_capacity(threads.len());
         for weak in threads.drain(..) {
             let Some(loc) = weak.upgrade() else { continue };
-            let frames = loc.frames.lock().clone();
-            let dirty = loc.dirty.swap(false, Ordering::Relaxed);
-            if frames.is_empty() {
+            // The slot already holds the collapsed key: one copy under its
+            // lock is a coherent read.
+            let (key, top_start) = {
+                let slot = loc.frames.lock();
+                (slot.key.clone(), slot.starts.last().copied())
+            };
+            let dirty = loc.dirty.swap(false, Ordering::SeqCst);
+            let Some(top_start) = top_start else {
                 // A cleared stack costs nothing to keep for one quiet
                 // tick; after that the slot leaves the scan until it
-                // publishes again.
+                // publishes again (unless a publication slipped in after
+                // the dirty swap — see `ThreadLoc::moved`).
                 if dirty {
                     keep.push(weak);
                 } else {
-                    loc.enrolled.store(false, Ordering::Relaxed);
+                    loc.enrolled.store(false, Ordering::SeqCst);
+                    if loc.dirty.load(Ordering::SeqCst) {
+                        loc.enrolled.store(true, Ordering::SeqCst);
+                        keep.push(weak);
+                    }
                 }
                 continue;
-            }
-            let key = frames
-                .iter()
-                .map(|f| f.as_ref())
-                .collect::<Vec<&str>>()
-                .join(";");
+            };
             inner.vm.lock().add_sample(&key, interval_us);
             if let Some(app) = loc.app {
                 inner_app_table(inner, app)
                     .lock()
                     .add_sample(&key, interval_us);
             }
-            let top = frames.last().map_or(String::new(), |f| f.to_string());
+            let top = key[top_start..].to_string();
             let mut events = inner.events.lock();
             if events.len() >= MAX_SAMPLE_EVENTS {
                 events.pop_front();
@@ -507,15 +608,16 @@ impl Profiler {
                 entry.count += 1;
                 *loc.settled.lock() = Some(key);
             }
-            loc.enrolled.store(false, Ordering::Relaxed);
+            loc.enrolled.store(false, Ordering::SeqCst);
             // Close the demotion race: a publication that slipped in after
             // the dirty check would otherwise strand a moving thread in
             // the settled population.
-            if loc.dirty.load(Ordering::Relaxed) {
-                if let Some(key) = loc.settled.lock().take() {
+            if loc.dirty.load(Ordering::SeqCst) {
+                let owed = loc.settled.lock().take();
+                if let Some(key) = owed {
                     unsettle(inner, loc.app, key);
                 }
-                loc.enrolled.store(true, Ordering::Relaxed);
+                loc.enrolled.store(true, Ordering::SeqCst);
                 keep.push(weak);
             }
         }
@@ -808,10 +910,10 @@ mod tests {
     fn sampler_collects_weighted_collapsed_stacks() {
         let p = Profiler::new();
         let loc = p.register_thread(Some(3));
-        loc.publish(&[Arc::from("Applet.main"), Arc::from("Applet.tick")]);
+        loc.publish(&["Applet.main", "Applet.tick"]);
         assert_eq!(p.sample_once(10_000), 1);
         assert_eq!(p.sample_once(10_000), 1);
-        loc.publish(&[Arc::from("Applet.main")]);
+        loc.publish(&["Applet.main"]);
         assert_eq!(p.sample_once(10_000), 1);
         let report = p.report();
         assert_eq!(report.samples_taken, 3);
@@ -821,7 +923,7 @@ mod tests {
         assert!(flame.contains("Applet.main;Applet.tick 20000\n"), "{flame}");
         assert_eq!(report.flamegraph(Some(99)), "");
         // Empty stacks are not sampled; a dropped slot retires.
-        loc.publish(&[]);
+        loc.publish::<&str>(&[]);
         assert_eq!(p.sample_once(10_000), 0);
         drop(loc);
         assert_eq!(p.sample_once(10_000), 0);
@@ -833,7 +935,7 @@ mod tests {
         let locs: Vec<_> = (0..100)
             .map(|i| {
                 let loc = p.register_thread(Some(i));
-                loc.publish(&[Arc::from("Svc.main")]);
+                loc.publish(&["Svc.main"]);
                 loc
             })
             .collect();
@@ -847,7 +949,7 @@ mod tests {
         assert_eq!(report.vm.stacks["Svc.main"], 100 * 4 * 10_000);
         assert_eq!(report.view(Some(7)).unwrap().stacks["Svc.main"], 4 * 10_000);
         // Republication re-enters the scan under the new key.
-        locs[0].publish(&[Arc::from("Svc.main"), Arc::from("Svc.work")]);
+        locs[0].publish(&["Svc.main", "Svc.work"]);
         assert_eq!(p.sample_once(10_000), 1);
         // Exiting settled threads drain the population cleanly.
         drop(locs);
@@ -855,10 +957,69 @@ mod tests {
     }
 
     #[test]
+    fn transitions_build_the_collapsed_key_in_place() {
+        let p = Profiler::new();
+        let loc = p.register_thread(None);
+        let key = |loc: &ThreadLoc| loc.with_stack(str::to_string);
+        assert!(loc.push("A.main") && loc.push("A.work") && loc.push("A.leaf"));
+        assert_eq!(key(&loc), "A.main;A.work;A.leaf");
+        assert!(loc.pop());
+        assert_eq!(key(&loc), "A.main;A.work");
+        assert!(loc.apply(5, &["B.main"]), "pops saturate at empty");
+        assert_eq!(key(&loc), "B.main");
+        assert!(loc.pop() && loc.pop(), "popping an empty slot is a no-op");
+        assert_eq!(key(&loc), "");
+        // A held slot refuses the transition and stays as it was.
+        loc.publish(&["C.main"]);
+        assert!(!loc.with_stack(|_| loc.push("C.work")));
+        assert_eq!(key(&loc), "C.main");
+    }
+
+    #[test]
+    fn racing_transitions_never_strand_or_duplicate_the_slot() {
+        let p = Profiler::new();
+        let done = AtomicBool::new(false);
+        let loc = std::thread::scope(|scope| {
+            let publisher = scope.spawn(|| {
+                let loc = p.register_thread(Some(1));
+                // Retry misses: this test drives the slot directly, with
+                // no owed-delta bookkeeping above it.
+                let retry = |f: &dyn Fn() -> bool| while !f() {};
+                for _ in 0..20_000 {
+                    retry(&|| loc.push("T.main"));
+                    retry(&|| loc.push("T.work"));
+                    retry(&|| loc.pop());
+                    retry(&|| loc.pop());
+                }
+                retry(&|| loc.publish(&["T.main", "T.park"]));
+                done.store(true, Ordering::SeqCst);
+                loc
+            });
+            while !done.load(Ordering::SeqCst) {
+                assert!(p.sample_once(10) <= 1, "one thread, one scan entry");
+            }
+            publisher.join().unwrap()
+        });
+        // Parked: sampled while still dirty, then once more and demoted.
+        let mut ticks = Vec::new();
+        for _ in 0..4 {
+            ticks.push(p.sample_once(10));
+        }
+        assert!(ticks.iter().all(|&n| n <= 1), "{ticks:?}");
+        assert_eq!(ticks[3], 0, "settled after the race: {ticks:?}");
+        assert!(p.report().vm.stacks.contains_key("T.main;T.park"));
+        // Moving again re-enrolls exactly once.
+        assert!(loc.push("T.wake"));
+        assert_eq!(p.sample_once(10), 1);
+        assert_eq!(p.sample_once(10), 1);
+        assert!(p.report().vm.stacks.contains_key("T.main;T.park;T.wake"));
+    }
+
+    #[test]
     fn sampling_off_is_a_no_op() {
         let p = Profiler::new();
         let loc = p.register_thread(None);
-        loc.publish(&[Arc::from("X.m")]);
+        loc.publish(&["X.m"]);
         p.set_sampling(false);
         assert_eq!(p.sample_once(10_000), 0);
         assert_eq!(p.samples_taken(), 0);
@@ -868,7 +1029,7 @@ mod tests {
     fn chrome_events_are_instant_profile_events() {
         let p = Profiler::new();
         let loc = p.register_thread(Some(4));
-        loc.publish(&[Arc::from("A.main"), Arc::from("A.work")]);
+        loc.publish(&["A.main", "A.work"]);
         p.sample_once(5_000);
         let json = chrome_trace_doc(p.chrome_events());
         let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -885,7 +1046,7 @@ mod tests {
         model(&p);
         p.record_block(Some(1), &[3, 0, 0], 100);
         let loc = p.register_thread(Some(1));
-        loc.publish(&[Arc::from("A.main")]);
+        loc.publish(&["A.main"]);
         p.sample_once(1_000);
         p.reset();
         let report = p.report();
@@ -904,7 +1065,7 @@ mod tests {
         model(&p);
         p.record_block(Some(2), &[1, 2, 3], 600);
         let loc = p.register_thread(Some(2));
-        loc.publish(&[Arc::from("B.main")]);
+        loc.publish(&["B.main"]);
         p.sample_once(10_000);
         let report = p.report();
         let json = serde_json::to_string(&report).unwrap();

@@ -165,6 +165,10 @@ impl ClassLoader {
         }
     }
 
+    /// Defines `name` from the registry on a `load_class` miss. Two
+    /// threads can both miss the `defined` read for a class's first load;
+    /// the loser of the insert gets the winner's class, exactly as if it
+    /// had looked a moment later.
     fn define_from_registry(&self, name: &str) -> Result<Class> {
         let (def, source) =
             self.inner
@@ -173,7 +177,7 @@ impl ClassLoader {
                 .ok_or_else(|| VmError::ClassNotFound {
                     name: name.to_string(),
                 })?;
-        self.define_class(def, source)
+        Ok(self.define(def, source).unwrap_or_else(|winner| winner))
     }
 
     /// Defines a class in this loader from explicit material and code
@@ -184,6 +188,15 @@ impl ClassLoader {
     ///
     /// [`VmError::Linkage`] if this loader already defined the name.
     pub fn define_class(&self, def: Arc<ClassDef>, source: CodeSource) -> Result<Class> {
+        let name = def.name().to_string();
+        self.define(def, source).map_err(|_| VmError::Linkage {
+            message: format!("loader {} already defines class {name:?}", self.inner.name),
+        })
+    }
+
+    /// Defines `def` unless this loader already defined its name, in which
+    /// case the existing class comes back as the error.
+    fn define(&self, def: Arc<ClassDef>, source: CodeSource) -> std::result::Result<Class, Class> {
         // Pre-decode interpreted material now (cached on the def, shared by
         // every later interpreter over it), outside the `defined` lock —
         // defining a class is the JVM's verify/link moment, and doing it
@@ -193,14 +206,8 @@ impl ClassLoader {
         let _ = def.compiled();
         let class = {
             let mut defined = self.inner.defined.write();
-            if defined.contains_key(def.name()) {
-                return Err(VmError::Linkage {
-                    message: format!(
-                        "loader {} already defines class {:?}",
-                        self.inner.name,
-                        def.name()
-                    ),
-                });
+            if let Some(existing) = defined.get(def.name()) {
+                return Err(existing.clone());
             }
             let permissions = (self.inner.resolver)(&source);
             let domain = Arc::new(ProtectionDomain::new(source, permissions));
@@ -343,6 +350,36 @@ mod tests {
             system.define_class(def, source).unwrap_err(),
             VmError::Linkage { .. }
         ));
+    }
+
+    #[test]
+    fn concurrent_first_loads_all_get_the_winning_class() {
+        const THREADS: usize = 8;
+        for _ in 0..20 {
+            let (_reg, system) = setup();
+            let start = Arc::new(std::sync::Barrier::new(THREADS));
+            let loads: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let system = system.clone();
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        system.load_class("Helper")
+                    })
+                })
+                .collect();
+            let classes: Vec<Class> = loads
+                .into_iter()
+                .map(|t| t.join().unwrap().expect("every racer loads the class"))
+                .collect();
+            assert!(classes.iter().all(|c| c.same_class(&classes[0])));
+            assert_eq!(
+                system
+                    .find_defined("Helper")
+                    .map(|c| c.same_class(&classes[0])),
+                Some(true)
+            );
+        }
     }
 
     #[test]

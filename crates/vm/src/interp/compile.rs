@@ -145,9 +145,9 @@ fn is_branch(code: u8) -> bool {
 /// interpreter needs.
 #[derive(Debug)]
 pub(crate) struct CompiledMethod {
-    /// `"Class.method"`, precomputed so publishing a profloc frame costs an
-    /// `Arc` clone instead of a `format!` per call.
-    pub qualified: Arc<str>,
+    /// `"Class.method"`, precomputed so publishing a profloc frame copies
+    /// its bytes instead of running a `format!` per call.
+    pub qualified: Box<str>,
     /// Declared parameter count.
     pub params: u8,
     /// Declared local-slot count.
@@ -224,7 +224,7 @@ impl CompiledImage {
             let code = compile_code(&m.code, &mut ctx)?;
             let locals = u16::from(m.locals);
             methods.push(CompiledMethod {
-                qualified: Arc::from(format!("{}.{}", image.name, m.name).as_str()),
+                qualified: format!("{}.{}", image.name, m.name).into(),
                 params: m.params,
                 locals,
                 frame_size: u32::from(locals) + fact.max_stack as u32,

@@ -665,7 +665,7 @@ impl Interpreter {
         let mut code: &[Op] = &methods[mi].code;
         if let Some(p) = prof.profiler() {
             if p.sampling_enabled() {
-                guards.push(crate::profloc::frame_arc(&methods[mi].qualified, Some(p)));
+                guards.push(crate::profloc::frame(&methods[mi].qualified, Some(p)));
             }
         }
 
@@ -1041,7 +1041,7 @@ impl Interpreter {
                     }
                     let callee_guarded = match prof.profiler() {
                         Some(p) if p.sampling_enabled() => {
-                            guards.push(crate::profloc::frame_arc(&cm.qualified, Some(p)));
+                            guards.push(crate::profloc::frame(&cm.qualified, Some(p)));
                             true
                         }
                         _ => false,
@@ -1268,10 +1268,9 @@ impl Interpreter {
         locals[..args.len()].clone_from_slice(&args);
         // Publish "Class.method" to the sampling profiler for the duration
         // of this frame (no-op when sampling is off or no profiler exists).
-        // The label was interned at compile time (satellite of the same
-        // fix in the fast loop).
+        // The label was built at compile time.
         let _loc = match prof.profiler() {
-            Some(p) if p.sampling_enabled() => Some(crate::profloc::frame_arc(
+            Some(p) if p.sampling_enabled() => Some(crate::profloc::frame(
                 &self.compiled.methods()[mi].qualified,
                 Some(p),
             )),
