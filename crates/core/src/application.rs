@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jmp_obs::EventKind;
 use jmp_security::{Permission, User};
@@ -201,6 +201,23 @@ impl Application {
                 return Err(Error::Interrupted);
             }
             self.inner.status_cv.wait_for(&mut status, BLOCK_POLL);
+        }
+    }
+
+    /// Blocks until the application finishes or `deadline` passes; returns
+    /// whether it finished. Wakes on the reaper's status signal, so a
+    /// caller sees the finish at once rather than at its next poll.
+    pub(crate) fn wait_finished_until(&self, deadline: Instant) -> bool {
+        let mut status = self.inner.status.lock();
+        loop {
+            if matches!(*status, AppStatus::Finished(_)) {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            self.inner.status_cv.wait_for(&mut status, left);
         }
     }
 
@@ -692,15 +709,16 @@ pub(crate) fn reap(rt: &MpRuntime, id: AppId) {
     //     no matter how the application exited.
     app.inner.context.reclaim_memory();
 
-    // 5. Finalize and deregister.
+    // 5. Deregister, then finalize: a waiter woken by `Finished` (e.g.
+    //    `checkpoint_app`, whose restore may reuse the id) finds the id free.
+    rt.inner.apps_by_group.remove(&app.inner.group.id());
+    rt.inner.apps_by_id.remove(&id);
     let code = app.inner.pending_code.load(Ordering::SeqCst);
     {
         let mut status = app.inner.status.lock();
         *status = AppStatus::Finished(code);
         app.inner.status_cv.notify_all();
     }
-    rt.inner.apps_by_group.remove(&app.inner.group.id());
-    rt.inner.apps_by_id.remove(&id);
 
     // 6. Retire the application's metrics registry and record the reap.
     let hub = rt.vm().obs();

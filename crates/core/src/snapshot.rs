@@ -23,11 +23,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jmp_security::{CodeSource, Permission};
-use jmp_vm::thread::BLOCK_POLL;
 use jmp_vm::{InterpSnapshot, ResourceKind, RESOURCE_KINDS};
 use serde::{Deserialize, Serialize};
 
-use crate::application::{AppId, AppStatus, Application, ExecSpec};
+use crate::application::{AppId, Application, ExecSpec};
 use crate::runtime::MpRuntime;
 use crate::{Error, Result};
 
@@ -203,13 +202,10 @@ impl MpRuntime {
 
         ctx.request_checkpoint();
         let deadline = Instant::now() + CHECKPOINT_TIMEOUT;
-        while !matches!(app.status(), AppStatus::Finished(_)) {
-            if Instant::now() >= deadline {
-                return Err(Error::Io {
-                    message: format!("application {} did not park for checkpoint", id.0),
-                });
-            }
-            std::thread::sleep(BLOCK_POLL);
+        if !app.wait_finished_until(deadline) {
+            return Err(Error::Io {
+                message: format!("application {} did not park for checkpoint", id.0),
+            });
         }
         let interp = ctx.take_snapshot().ok_or_else(|| Error::Io {
             message: format!(

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jmp_security::{CodeSource, Policy};
 use jmp_vm::ClassDef;
@@ -88,6 +88,26 @@ fn application_runs_and_finishes() {
     assert_eq!(RAN.load(Ordering::SeqCst), 1);
     assert!(matches!(app.status(), AppStatus::Finished(0)));
     assert!(rt.await_idle(Duration::from_secs(5)));
+    rt.shutdown();
+}
+
+#[test]
+fn finished_wait_returns_at_once_and_gives_up_at_a_passed_deadline() {
+    // `checkpoint_app` blocks on this wait: a finished application needs no
+    // wait even at a passed deadline, and a running one is not waited past it.
+    let rt = runtime();
+    register(&rt, "Quick", "file:/apps/quick", |_| Ok(()));
+    register(&rt, "Sleeper", "file:/apps/sleeper", |_| {
+        let _ = jmp_vm::thread::sleep(Duration::from_secs(600));
+        Ok(())
+    });
+    let quick = rt.launch("Quick", &[]).unwrap();
+    quick.wait_for().unwrap();
+    assert!(quick.wait_finished_until(Instant::now()));
+    let sleeper = rt.launch("Sleeper", &[]).unwrap();
+    assert!(!sleeper.wait_finished_until(Instant::now()));
+    sleeper.stop(0).unwrap();
+    sleeper.wait_for().unwrap();
     rt.shutdown();
 }
 

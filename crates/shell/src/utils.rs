@@ -11,6 +11,7 @@
 
 use jmp_core::{files, jsystem, login, AppId, AppStatus, Application, MpRuntime};
 use jmp_vfs::FileKind;
+use jmp_vm::io::DEFAULT_PIPE_CAPACITY;
 use jmp_vm::{Result, VmError};
 
 fn io_err(e: jmp_core::Error) -> VmError {
@@ -117,36 +118,96 @@ pub fn head_main(args: Vec<String>) -> Result<()> {
     Ok(())
 }
 
-/// `wc [file]` — count lines, words, bytes.
-pub fn wc_main(args: Vec<String>) -> Result<()> {
-    let data = match args.first() {
-        Some(path) => files::read(path).map_err(io_err)?,
-        None => jsystem::stdin().map_err(io_err)?.read_to_end()?,
-    };
-    let text = String::from_utf8_lossy(&data);
-    let lines = text.lines().count();
-    let words = text.split_whitespace().count();
-    jsystem::println(&format!("{lines} {words} {}", data.len())).map_err(io_err)
+/// Reads the current application's stdin to end-of-file in pipe-sized
+/// chunks and hands `block` runs of whole lines: every block but the last
+/// ends just after a `\n`, and the unfinished last line of one read is
+/// carried over to the next. The tail left at end-of-file is the final
+/// block.
+///
+/// Lossy UTF-8 decoding, `lines()` and `split_whitespace()` never span a
+/// `\n`, so per-block results add up to the whole-input results exactly,
+/// while a pipeline's stages overlap instead of each buffering its whole
+/// input first.
+fn for_each_line_block(mut block: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+    let input = jsystem::stdin().map_err(io_err)?;
+    // `buf[..filled]` holds the carried partial line; reads land after it.
+    let mut buf = Vec::new();
+    let mut filled = 0;
+    loop {
+        buf.resize(filled + DEFAULT_PIPE_CAPACITY, 0);
+        let n = input.read(&mut buf[filled..])?;
+        if n == 0 {
+            return if filled == 0 {
+                Ok(())
+            } else {
+                block(&buf[..filled])
+            };
+        }
+        let start = filled;
+        filled += n;
+        let Some(last_newline) = buf[start..filled].iter().rposition(|&b| b == b'\n') else {
+            continue;
+        };
+        let end = start + last_newline + 1;
+        block(&buf[..end])?;
+        buf.copy_within(end..filled, 0);
+        filled -= end;
+    }
 }
 
+/// `wc [file]` — count lines, words, bytes. Stdin is counted block by block
+/// as it arrives; the byte count is raw bytes.
+pub fn wc_main(args: Vec<String>) -> Result<()> {
+    let (mut lines, mut words, mut bytes) = (0, 0, 0);
+    let mut count = |data: &[u8]| {
+        let text = String::from_utf8_lossy(data);
+        lines += text.lines().count();
+        words += text.split_whitespace().count();
+        bytes += data.len();
+        Ok(())
+    };
+    match args.first() {
+        Some(path) => count(&files::read(path).map_err(io_err)?)?,
+        None => for_each_line_block(count)?,
+    }
+    jsystem::println(&format!("{lines} {words} {bytes}")).map_err(io_err)
+}
+
+/// Matching lines are collected here and written to stdout once this many
+/// bytes are waiting, so a pipe write carries at most this plus one line.
+const GREP_BATCH: usize = 4096;
+
 /// `grep pattern [file]` — print lines containing `pattern` (substring).
+/// Stdin is scanned block by block as it arrives; matches go to stdout in
+/// batches of about [`GREP_BATCH`] bytes rather than one write per line.
 pub fn grep_main(args: Vec<String>) -> Result<()> {
     let pattern = args.first().cloned().ok_or_else(|| VmError::Io {
         message: "grep: missing pattern".into(),
     })?;
-    let text = match args.get(1) {
-        Some(path) => files::read_string(path).map_err(io_err)?,
-        None => {
-            let input = jsystem::stdin().map_err(io_err)?;
-            String::from_utf8_lossy(&input.read_to_end()?).into_owned()
+    let out = jsystem::stdout().map_err(io_err)?;
+    let mut batch = Vec::with_capacity(2 * GREP_BATCH);
+    let mut scan = |data: &[u8]| {
+        for line in String::from_utf8_lossy(data).lines() {
+            if line.contains(&pattern) {
+                batch.extend_from_slice(line.as_bytes());
+                batch.push(b'\n');
+                if batch.len() >= GREP_BATCH {
+                    out.write(&batch)?;
+                    batch.clear();
+                }
+            }
         }
+        Ok(())
     };
-    for line in text.lines() {
-        if line.contains(&pattern) {
-            jsystem::println(line).map_err(io_err)?;
-        }
+    match args.get(1) {
+        Some(path) => scan(&files::read(path).map_err(io_err)?)?,
+        None => for_each_line_block(&mut scan)?,
     }
-    Ok(())
+    if batch.is_empty() {
+        Ok(())
+    } else {
+        out.write(&batch)
+    }
 }
 
 /// `ps` — list running applications (the multi-processing `ps`).

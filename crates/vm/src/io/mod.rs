@@ -281,14 +281,18 @@ impl OutStream {
         self.write(text.as_bytes())
     }
 
-    /// Writes a string followed by a newline.
+    /// Writes a string followed by a newline, as one device write: a
+    /// writer sharing the stream (the shell, its children, background jobs)
+    /// cannot land between a line and its newline.
     ///
     /// # Errors
     ///
     /// As [`OutStream::write`].
     pub fn println(&self, text: &str) -> Result<()> {
-        self.write(text.as_bytes())?;
-        self.write(b"\n")
+        let mut line = Vec::with_capacity(text.len() + 1);
+        line.extend_from_slice(text.as_bytes());
+        line.push(b'\n');
+        self.write(&line)
     }
 
     /// Flushes the device.
@@ -528,6 +532,54 @@ mod tests {
             Some("through the pipe")
         );
         assert_eq!(input.read_line().unwrap(), None);
+    }
+
+    #[test]
+    fn println_lines_stay_whole_under_concurrent_writers() {
+        // Two VM threads print into one shared stream, as a shell and its
+        // background job do: no line may be split by the other's writes.
+        const LINES: usize = 2000;
+        let (w, r) = pipe(1 << 20);
+        let out = OutStream::from_pipe(w, APP_A);
+        let vm = crate::Vm::new();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = ["alpha", "beta"]
+            .into_iter()
+            .map(|tag| {
+                let out = out.clone();
+                let start = Arc::clone(&start);
+                vm.thread_builder()
+                    .name(tag)
+                    .spawn(move |_| {
+                        start.wait();
+                        for i in 0..LINES {
+                            out.println(&format!("{tag}-{i}")).unwrap();
+                        }
+                    })
+                    .unwrap()
+            })
+            .collect();
+        for writer in &writers {
+            writer.join().unwrap();
+        }
+        out.close(APP_A).unwrap();
+        let text = String::from_utf8(InStream::from_pipe(r, APP_B).read_to_end().unwrap()).unwrap();
+        let mut next = [0usize; 2];
+        for line in text.lines() {
+            let (tag, i) = line.split_once('-').expect("whole line");
+            let slot = match tag {
+                "alpha" => 0,
+                "beta" => 1,
+                other => panic!("torn line {line:?} (tag {other:?})"),
+            };
+            assert_eq!(
+                i.parse::<usize>().ok(),
+                Some(next[slot]),
+                "torn line {line:?}"
+            );
+            next[slot] += 1;
+        }
+        assert_eq!(next, [LINES, LINES]);
     }
 
     #[test]

@@ -551,3 +551,142 @@ fn verified_images_never_underflow() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Streaming utilities vs. whole-input formulas
+// ---------------------------------------------------------------------------
+
+/// Each command writes one output file; `stream_expected` gives its bytes.
+const STREAM_COMMANDS: [&str; 6] = [
+    "cat f | grep kx | wc > o0",
+    "cat f | grep kx > o1",
+    "grep kx f > o2",
+    "grep kx < f > o3",
+    "wc < f > o4",
+    "wc f > o5",
+];
+
+/// The whole-input formulas the streaming `grep` and `wc` must reproduce:
+/// lossy UTF-8 decoding, then `lines()`, `split_whitespace()`, raw bytes.
+fn stream_expected(data: &[u8]) -> [Vec<u8>; 6] {
+    let wc = |data: &[u8]| {
+        let text = String::from_utf8_lossy(data);
+        let (lines, words) = (text.lines().count(), text.split_whitespace().count());
+        format!("{lines} {words} {}\n", data.len()).into_bytes()
+    };
+    let grep: Vec<u8> = String::from_utf8_lossy(data)
+        .lines()
+        .filter(|line| line.contains("kx"))
+        .flat_map(|line| format!("{line}\n").into_bytes())
+        .collect();
+    [
+        wc(&grep),
+        grep.clone(),
+        grep.clone(),
+        grep,
+        wc(data),
+        wc(data),
+    ]
+}
+
+/// Seeded text lines of about `target` bytes: words over `abkx` (so some
+/// lines hold `kx`) separated by ASCII, no-break and ideographic spaces,
+/// with stray invalid UTF-8, CRLF endings and sometimes no final newline.
+fn stream_input(g: &mut Gen, target: usize) -> Vec<u8> {
+    let mut data = Vec::new();
+    while data.len() < target {
+        for w in 0..g.below(12) {
+            if w > 0 {
+                let sep: &[u8] = match g.below(5) {
+                    0 => b"\t",
+                    1 => "\u{a0}".as_bytes(),
+                    2 => "\u{3000}".as_bytes(),
+                    3 => b"  ",
+                    _ => b" ",
+                };
+                data.extend_from_slice(sep);
+            }
+            for _ in 0..=g.below(8) {
+                data.push(b"abkx"[g.below(4) as usize]);
+            }
+            match g.below(12) {
+                0 => data.push(0xff),
+                1 => data.extend_from_slice(&[0xe3, 0x80]), // truncated U+3000
+                _ => {}
+            }
+        }
+        data.extend_from_slice(if g.below(4) == 0 { b"\r\n" } else { b"\n" });
+    }
+    if g.bool() {
+        data.pop();
+    }
+    data
+}
+
+#[test]
+fn streaming_grep_and_wc_match_the_whole_input_formulas() {
+    use jmp_vm::io::{InStream, IoToken, MemSink, OutStream, DEFAULT_PIPE_CAPACITY};
+
+    let mut g = Gen::new(0x57_12ea);
+    let mut inputs = vec![Vec::new()];
+    // A line that straddles the first pipe-sized read, split inside U+3000.
+    let mut straddle = vec![b'a'; DEFAULT_PIPE_CAPACITY - 3];
+    straddle.extend_from_slice("kx\u{3000}b\nkx tail".as_bytes());
+    inputs.push(straddle);
+    // A line ending exactly at the read boundary.
+    let mut exact = vec![b'k'; DEFAULT_PIPE_CAPACITY - 2];
+    exact.extend_from_slice(b"x\nkx\n");
+    inputs.push(exact);
+    // One line longer than a read, then a short one.
+    let mut long: Vec<u8> = stream_input(&mut g, 2 * DEFAULT_PIPE_CAPACITY)
+        .into_iter()
+        .map(|b| if b == b'\n' { b' ' } else { b })
+        .collect();
+    long.extend_from_slice(b"\nkx\n");
+    inputs.push(long);
+    for _ in 0..8 {
+        let target = g.below(3 * DEFAULT_PIPE_CAPACITY as u64) as usize;
+        inputs.push(stream_input(&mut g, target));
+    }
+
+    let rt = tests_integration::runtime();
+    let alice = rt.users().lookup("alice").unwrap();
+    let script: String = STREAM_COMMANDS.iter().map(|c| format!("{c}\n")).collect();
+    for (case, data) in inputs.iter().enumerate() {
+        rt.vfs().write("/home/alice/f", data, alice.id()).unwrap();
+        let console = MemSink::new();
+        let console_out = || OutStream::new(std::sync::Arc::new(console.clone()), IoToken::SYSTEM);
+        let login = rt
+            .launch_with(
+                "system",
+                "login",
+                &["alice", "apw"],
+                Some(InStream::from_bytes(script.clone(), IoToken::SYSTEM)),
+                Some(console_out()),
+                Some(console_out()),
+            )
+            .unwrap();
+        assert_eq!(login.wait_for().unwrap(), 0);
+        for (i, (command, want)) in STREAM_COMMANDS
+            .iter()
+            .zip(stream_expected(data))
+            .enumerate()
+        {
+            let got = rt
+                .vfs()
+                .read(&format!("/home/alice/o{i}"), alice.id())
+                .unwrap();
+            assert!(
+                got == want,
+                "case {case} ({} bytes), `{command}`: got {} bytes {:?}..., want {} bytes {:?}...; console {:?}",
+                data.len(),
+                got.len(),
+                String::from_utf8_lossy(&got[..got.len().min(80)]),
+                want.len(),
+                String::from_utf8_lossy(&want[..want.len().min(80)]),
+                console.contents_string(),
+            );
+        }
+    }
+    rt.shutdown();
+}
