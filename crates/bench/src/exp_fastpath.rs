@@ -118,9 +118,9 @@ fn latency_table() -> Table {
     table.note("full dedup walk over the indexed policy); warm = generation-memoized");
     table.note("fingerprint probe + one cache lookup. shape: warm is O(1) — flat in");
     table.note("stack depth — so the speedup grows linearly with depth, passing 5x");
-    table.note("around depth 8 and 10x by depth 24. the truly cold first-check-after-");
-    table.note("reload (E13c) is costlier still: the flushed number re-uses warm");
-    table.note("per-domain memos and indexes.");
+    table.note("by depth 4 and 10x around depth 8. the truly cold first-check-after-");
+    table.note("reload (E13c) is costlier still: the flushed number re-uses the");
+    table.note("already-built grant indexes.");
     table.note(format!(
         "interned protection domains process-wide: {}",
         interned_domain_count()

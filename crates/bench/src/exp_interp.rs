@@ -1,6 +1,6 @@
 //! E18: the direct-threaded `jbc` interpreter — what pre-decoding,
-//! superinstruction fusion, frame reuse, and per-site inline caches buy
-//! over the seed tree-walking loop, in the same binary.
+//! superinstruction fusion, and frame reuse buy over the seed tree-walking
+//! loop, in the same binary.
 //!
 //! Three tables:
 //!
@@ -10,7 +10,8 @@
 //!   an arithmetic sum loop (the headline), recursive `fib` (call/frame
 //!   heavy), a string-concat loop (allocation bound, so dispatch gains
 //!   are diluted), and a loop of security-checked native calls driven
-//!   through a real [`Vm`] policy walk (the per-site inline cache).
+//!   through a real [`Vm`] access check (each call a warm decision-cache
+//!   hit, so the gain is the dispatch around the native call).
 //! * **E18b** — dispatch/fusion accounting on the sum loop: wire
 //!   instructions executed vs ops actually dispatched, i.e. how much of
 //!   the dispatch loop superinstructions eliminated.
@@ -185,7 +186,7 @@ impl Measured {
 fn measure(interp: &Interpreter, arg: i64) -> Measured {
     let run_arg = || vec![Value::Int(arg)];
     // Warm up both engines (lazy allocations, branch predictors, and the
-    // native-site / decision caches reach steady state).
+    // decision cache reach steady state).
     let seed_result = interp.run_seed("main", run_arg()).expect("seed runs");
     let compiled_result = interp.run("main", run_arg()).expect("compiled runs");
     assert_eq!(seed_result, compiled_result, "engines agree on the result");
@@ -233,7 +234,8 @@ pub struct E18Summary {
     pub fib_speedup: f64,
     /// Speedup on the concat loop (allocation-bound lower bound).
     pub concat_speedup: f64,
-    /// Speedup on security-checked natives (per-site inline caches).
+    /// Speedup on security-checked natives (both engines share one warm
+    /// decision-cache hit per call; the gain is dispatch).
     pub checked_native_speedup: f64,
     /// Percent of wire instructions whose dispatch was eliminated by
     /// superinstruction fusion on the sum loop: `1 - dispatches/insns`.

@@ -58,7 +58,7 @@ impl NameIndex {
 ///
 /// Built once (lazily) per [`PermissionCollection`](crate::PermissionCollection)
 /// or per policy user; queried on every access check that misses the
-/// per-domain memo.
+/// decision cache.
 #[derive(Debug, Clone, Default)]
 pub struct PermissionIndex {
     /// `AllPermission` granted: implies every demand.

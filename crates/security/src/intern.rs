@@ -3,15 +3,11 @@
 //! Two domains with the same code source and the same grant list are the
 //! *same* domain for access-control purposes, no matter how many `Arc`s or
 //! clones of them float around the VM. The [`DomainRegistry`] assigns each
-//! distinct `(code source, grants)` pair a small stable [`DomainId`], so:
-//!
-//! * an [`AccessContext`](crate::AccessContext) reduces to a deduplicated
-//!   id-*set* with a stable order-insensitive 64-bit fingerprint (the stack
-//!   walk ANDs over the set of visible domains, so order and multiplicity
-//!   are irrelevant to the decision), and
-//! * every clone of a domain shares one [`DomainMemo`], a bounded
-//!   `(Permission → bool)` memo of `implies` results, so a demand is
-//!   resolved against a given domain's grants at most once VM-wide.
+//! distinct `(code source, grants)` pair a small stable [`DomainId`], so an
+//! [`AccessContext`](crate::AccessContext) reduces to a deduplicated id-*set*
+//! with a stable order-insensitive 64-bit fingerprint (the stack walk ANDs
+//! over the set of visible domains, so order and multiplicity are irrelevant
+//! to the decision).
 //!
 //! Interning is lazy: the registry is consulted the first time a domain's
 //! [`id`](crate::ProtectionDomain::id) is needed (typically on its first
@@ -27,12 +23,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 use crate::code_source::CodeSource;
 use crate::permission::Permission;
 use crate::ProtectionDomain;
-
-/// Cap on each shared per-domain memo. Real workloads demand a handful of
-/// distinct permissions per domain; the cap only guards against a
-/// pathological stream of never-repeating demands growing memory without
-/// bound. When full, new results are simply not memoized.
-const MEMO_CAP: usize = 1024;
 
 /// A small stable handle for an interned protection domain.
 ///
@@ -54,35 +44,8 @@ impl fmt::Display for DomainId {
     }
 }
 
-/// A bounded, shared memo of `(Permission → implies?)` results for one
-/// interned domain. All clones of equal domains share one memo through the
-/// registry.
-#[derive(Debug, Default)]
-pub struct DomainMemo {
-    map: RwLock<HashMap<Permission, bool>>,
-}
-
-impl DomainMemo {
-    /// Looks up a memoized `implies` result.
-    pub fn get(&self, demand: &Permission) -> Option<bool> {
-        self.map
-            .read()
-            .expect("domain memo poisoned")
-            .get(demand)
-            .copied()
-    }
-
-    /// Memoizes an `implies` result (no-op once the memo is full).
-    pub fn insert(&self, demand: &Permission, granted: bool) {
-        let mut map = self.map.write().expect("domain memo poisoned");
-        if map.len() < MEMO_CAP {
-            map.insert(demand.clone(), granted);
-        }
-    }
-}
-
-/// The registry's record for one distinct domain: its id, its precomputed
-/// fingerprint term, and the shared memo.
+/// The registry's record for one distinct domain: its id and its
+/// precomputed fingerprint term.
 #[derive(Debug)]
 pub struct InternedDomain {
     id: DomainId,
@@ -90,7 +53,6 @@ pub struct InternedDomain {
     /// through a 64-bit avalanche so that XOR-combining terms of distinct
     /// id-sets produces well-spread fingerprints.
     fingerprint_term: u64,
-    memo: DomainMemo,
 }
 
 impl InternedDomain {
@@ -102,11 +64,6 @@ impl InternedDomain {
     /// The domain's XOR-combinable fingerprint contribution.
     pub fn fingerprint_term(&self) -> u64 {
         self.fingerprint_term
-    }
-
-    /// The shared `(Permission → bool)` memo.
-    pub fn memo(&self) -> &DomainMemo {
-        &self.memo
     }
 }
 
@@ -145,7 +102,6 @@ impl DomainRegistry {
         let interned = Arc::new(InternedDomain {
             id,
             fingerprint_term: avalanche(id.0),
-            memo: DomainMemo::default(),
         });
         map.insert(key, Arc::clone(&interned));
         interned
@@ -353,22 +309,18 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_shared_between_equal_domains() {
-        let a = domain("file:/intern/memo", vec![Permission::runtime("memoTest")]);
-        let b = domain("file:/intern/memo", vec![Permission::runtime("memoTest")]);
-        let demand = Permission::runtime("memoTest");
-        assert!(a.implies(&demand));
-        assert_eq!(b.interned().memo().get(&demand), Some(true));
-    }
-
-    #[test]
     fn registry_count_is_monotone() {
         let before = interned_domain_count();
         let _ = domain("file:/intern/count-probe", vec![]).id();
         assert!(interned_domain_count() > before);
-        let again = interned_domain_count();
-        let _ = domain("file:/intern/count-probe", vec![]).id();
-        assert_eq!(interned_domain_count(), again);
+        // Parallel tests intern into the process-wide registry too, so the
+        // "equal domain adds nothing" half runs on a private registry.
+        let registry = DomainRegistry::default();
+        let first = registry.intern(&domain("file:/intern/count-probe", vec![]));
+        assert_eq!(registry.len(), 1);
+        let again = registry.intern(&domain("file:/intern/count-probe", vec![]));
+        assert_eq!(registry.len(), 1);
+        assert_eq!(first.id(), again.id());
     }
 
     #[test]
@@ -379,7 +331,7 @@ mod tests {
         );
         assert!(d.implies(&Permission::file("/m/x", FileActions::READ)));
         assert!(!d.implies(&Permission::file("/m/x", FileActions::WRITE)));
-        // Both outcomes memoized independently.
+        // Repeats give the same answers.
         assert!(d.implies(&Permission::file("/m/x", FileActions::READ)));
         assert!(!d.implies(&Permission::file("/m/x", FileActions::WRITE)));
     }

@@ -8,6 +8,12 @@
 //! never cached, so every denial re-runs the full walk and re-derives the
 //! exact refusing-domain audit message (the audit-exactness invariant).
 //!
+//! The map is keyed by hashes, but a hit must match exactly: each entry
+//! stores the demand and user it was derived for, and a lookup whose
+//! demand or user differs is a miss. The key hasher is unkeyed and
+//! invertible, so two different demands can be made to share a key; a
+//! key match alone would grant one on the strength of the other.
+//!
 //! Invalidation is epoch-based: every entry records the epoch it was derived
 //! under, and anything that can change a decision — `set_policy`,
 //! `set_security_manager`, a user-resolver change — bumps the epoch, which
@@ -36,15 +42,15 @@ const SHARDS: usize = 16;
 const SHARD_CAP: usize = 4096;
 
 /// Key of one cached decision: the fingerprint of the visible domain set
-/// plus a hash of `(demand, running user)`. Keeping the demand hashed (not
-/// cloned) keeps the hot path allocation-free; a 64+64-bit collision is
-/// vanishingly unlikely and the worst case re-runs a sound walk.
+/// plus a hash of `(demand, running user)`. The key only picks the slot;
+/// [`CachedGrant`] holds the demand and user that a hit must equal.
 type Key = (u64, u64);
 
 /// A fast multiply-xor hasher (FxHash-style) for the hot path. The warm
 /// check hashes the demanded permission once and the 128-bit key once per
-/// lookup; a keyed SipHash there costs more than the lookup itself, and the
-/// cache needs no DoS resistance — a collision merely re-runs a sound walk.
+/// lookup; a keyed SipHash there costs more than the lookup itself. It is
+/// not collision resistant — colliding demands are easy to construct — so
+/// lookups compare the stored demand and user before serving a hit.
 #[derive(Default)]
 struct FxHasher(u64);
 
@@ -89,12 +95,15 @@ impl Hasher for FxHasher {
     }
 }
 
-/// One cached granted decision: the epoch it was derived under plus the
-/// demand-ledger cell recorded during the original walk (when the ledger
-/// accepted the demand). A warm hit bumps the cell directly, so the
-/// always-on demand ledger costs the hot path no hashing and no strings.
+/// One cached granted decision: the exact demand and user it answers, the
+/// epoch it was derived under, and the demand-ledger cell recorded during
+/// the original walk (when the ledger accepted the demand). A warm hit
+/// bumps the cell directly, so the always-on demand ledger costs the hot
+/// path no hashing and no strings.
 #[derive(Debug)]
 struct CachedGrant {
+    demand: Permission,
+    user: Option<Box<str>>,
     epoch: u64,
     demand_cell: Option<Arc<DemandCell>>,
 }
@@ -108,7 +117,7 @@ pub struct DecisionCache {
     shards: [RwLock<Shard>; SHARDS],
 }
 
-fn demand_key(demand: &Permission, user: Option<&str>) -> u64 {
+pub(crate) fn demand_key(demand: &Permission, user: Option<&str>) -> u64 {
     let mut hasher = FxHasher::default();
     demand.hash(&mut hasher);
     user.hash(&mut hasher);
@@ -139,8 +148,9 @@ impl DecisionCache {
     }
 
     /// Looks up a granted decision for this exact `(context, demand, user)`
-    /// triple derived under the current epoch; `true` means granted. On a
-    /// hit, the demand-ledger cell captured during the original walk (if
+    /// triple derived under the current epoch; `true` means granted. A key
+    /// match whose stored demand or user differs is a miss. Allocation-free.
+    /// On a hit, the demand-ledger cell captured during the original walk (if
     /// any) is bumped through `ledger` while the shard guard is held —
     /// handing the `Arc` out instead would cost the hot path a clone+drop
     /// pair of shared-cache-line RMWs, roughly doubling the always-on
@@ -158,7 +168,7 @@ impl DecisionCache {
         let Some(entry) = shard.get(&key) else {
             return false;
         };
-        if entry.epoch != current {
+        if entry.epoch != current || entry.user.as_deref() != user || entry.demand != *demand {
             return false;
         }
         if let Some(cell) = &entry.demand_cell {
@@ -169,38 +179,13 @@ impl DecisionCache {
         true
     }
 
-    /// Like [`DecisionCache::lookup_granted`], but on a hit also returns a
-    /// clone of the stored demand cell so the caller can populate a
-    /// [`NativeSiteCache`]. Used only when a native call site is active —
-    /// the extra `Arc` clone is paid once to warm the site, after which the
-    /// site hit path skips this probe entirely.
-    pub(crate) fn lookup_granted_with_cell(
-        &self,
-        fingerprint: ContextFingerprint,
-        demand: &Permission,
-        user: Option<&str>,
-        ledger: &DemandLedger,
-    ) -> Option<Option<Arc<DemandCell>>> {
-        let key = (fingerprint.hash, demand_key(demand, user));
-        let current = self.epoch();
-        let shard = self.shard(&key).read();
-        let entry = shard.get(&key)?;
-        if entry.epoch != current {
-            return None;
-        }
-        if let Some(cell) = &entry.demand_cell {
-            if ledger.enabled() {
-                ledger.bump(cell, true);
-            }
-        }
-        Some(entry.demand_cell.clone())
-    }
-
     /// Records a granted decision derived while the epoch was
     /// `derived_epoch`, carrying the demand-ledger cell (if any) the walk
-    /// recorded. A stale insert (the epoch moved during the walk) is stored
-    /// but can never match a future lookup, so a policy reload racing a walk
-    /// never resurrects a pre-reload decision.
+    /// recorded. The demand and user are cloned into the entry (the only
+    /// allocation on the cache's paths); a colliding entry is replaced. A
+    /// stale insert (the epoch moved during the walk) is stored but can
+    /// never match a future lookup, so a policy reload racing a walk never
+    /// resurrects a pre-reload decision.
     pub fn insert_granted(
         &self,
         fingerprint: ContextFingerprint,
@@ -217,163 +202,13 @@ impl DecisionCache {
         shard.insert(
             key,
             CachedGrant {
+                demand: demand.clone(),
+                user: user.map(Box::from),
                 epoch: derived_epoch,
                 demand_cell,
             },
         );
     }
-}
-
-/// A per-`CallNative`-site monomorphic inline cache over the shared
-/// [`DecisionCache`].
-///
-/// The compiled interpreter allocates one of these per `CallNative` site at
-/// pre-decode time and pushes it onto a thread-local *active site* stack for
-/// the duration of the host invocation. When the security manager then runs
-/// an access check on behalf of that native call, it consults the active
-/// site first: a warm site holds the `(epoch, fingerprint, demand, user)`
-/// quadruple of the last grant issued through this call site, so the steady
-/// state — the same applet calling the same native under the same policy —
-/// costs one fingerprint compare instead of a sharded map probe.
-///
-/// Invalidation is inherited from the shared cache: the stored epoch is the
-/// [`DecisionCache::epoch`] the grant was derived under, so any policy /
-/// security-manager / user-resolver change that bumps the epoch silently
-/// kills every site cache at once. Denials are never stored (the
-/// audit-exactness invariant), and `try_lock` is used on both paths so a
-/// contended site degrades to the shared cache instead of blocking.
-#[derive(Debug, Default)]
-pub(crate) struct NativeSiteCache {
-    grant: parking_lot::Mutex<Option<SiteGrant>>,
-}
-
-/// The last grant issued through one native call site.
-#[derive(Debug)]
-struct SiteGrant {
-    epoch: u64,
-    fingerprint: ContextFingerprint,
-    demand: u64,
-    demand_cell: Option<Arc<DemandCell>>,
-}
-
-impl NativeSiteCache {
-    /// Creates an empty (cold) site cache.
-    pub(crate) fn new() -> NativeSiteCache {
-        NativeSiteCache::default()
-    }
-
-    /// `true` if the site's cached grant matches this exact
-    /// `(epoch, fingerprint, demand-key)` triple. On a hit, the stored
-    /// demand-ledger cell is bumped (same contract as
-    /// [`DecisionCache::lookup_granted`]).
-    fn check(
-        &self,
-        epoch: u64,
-        fingerprint: ContextFingerprint,
-        demand: u64,
-        ledger: &DemandLedger,
-    ) -> bool {
-        let Some(guard) = self.grant.try_lock() else {
-            return false;
-        };
-        let Some(grant) = guard.as_ref() else {
-            return false;
-        };
-        if grant.epoch != epoch || grant.fingerprint != fingerprint || grant.demand != demand {
-            return false;
-        }
-        if let Some(cell) = &grant.demand_cell {
-            if ledger.enabled() {
-                ledger.bump(cell, true);
-            }
-        }
-        true
-    }
-
-    /// Stores a grant derived under `epoch` (captured before the walk, same
-    /// staleness discipline as [`DecisionCache::insert_granted`]).
-    fn store(
-        &self,
-        epoch: u64,
-        fingerprint: ContextFingerprint,
-        demand: u64,
-        demand_cell: Option<Arc<DemandCell>>,
-    ) {
-        if let Some(mut guard) = self.grant.try_lock() {
-            *guard = Some(SiteGrant {
-                epoch,
-                fingerprint,
-                demand,
-                demand_cell,
-            });
-        }
-    }
-}
-
-thread_local! {
-    /// The stack of native call sites currently being invoked on this
-    /// thread. Nested entries happen when a native re-enters the
-    /// interpreter; the innermost site owns any checks issued.
-    static ACTIVE_SITES: std::cell::RefCell<Vec<Arc<NativeSiteCache>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Marks `site` as the active native call site until the guard drops.
-pub(crate) fn enter_native_site(site: &Arc<NativeSiteCache>) -> NativeSiteGuard {
-    ACTIVE_SITES.with(|s| s.borrow_mut().push(Arc::clone(site)));
-    NativeSiteGuard { _priv: () }
-}
-
-/// RAII guard for [`enter_native_site`]; pops the site on drop.
-pub(crate) struct NativeSiteGuard {
-    _priv: (),
-}
-
-impl Drop for NativeSiteGuard {
-    fn drop(&mut self) {
-        ACTIVE_SITES.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// `true` if an access check issued right now would run on behalf of a
-/// native call site (cheap: one thread-local read).
-pub(crate) fn has_active_site() -> bool {
-    ACTIVE_SITES.with(|s| !s.borrow().is_empty())
-}
-
-/// Consults the active site's inline cache; `true` means this exact
-/// `(epoch, context, demand, user)` was the last grant issued through the
-/// site. `false` when no site is active or the site is cold/stale.
-pub(crate) fn site_check(
-    epoch: u64,
-    fingerprint: ContextFingerprint,
-    demand: &Permission,
-    user: Option<&str>,
-    ledger: &DemandLedger,
-) -> bool {
-    ACTIVE_SITES.with(|s| {
-        s.borrow()
-            .last()
-            .is_some_and(|site| site.check(epoch, fingerprint, demand_key(demand, user), ledger))
-    })
-}
-
-/// Records a grant into the active site's inline cache (no-op when no site
-/// is active).
-pub(crate) fn site_store(
-    epoch: u64,
-    fingerprint: ContextFingerprint,
-    demand: &Permission,
-    user: Option<&str>,
-    demand_cell: Option<Arc<DemandCell>>,
-) {
-    ACTIVE_SITES.with(|s| {
-        if let Some(site) = s.borrow().last() {
-            site.store(epoch, fingerprint, demand_key(demand, user), demand_cell);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -477,104 +312,5 @@ mod tests {
         assert!(!cache.lookup_granted(fp(0), &demand, None, &ledger));
         let last = (SHARD_CAP as u64 + 9) * SHARDS as u64;
         assert!(cache.lookup_granted(fp(last), &demand, None, &ledger));
-    }
-
-    #[test]
-    fn site_cache_hits_only_on_exact_quadruple() {
-        let ledger = ledger();
-        let site = NativeSiteCache::new();
-        let demand = Permission::file("/a", FileActions::READ);
-        let other = Permission::file("/a", FileActions::WRITE);
-        let key = demand_key(&demand, Some("alice"));
-        assert!(!site.check(0, fp(1), key, &ledger), "cold site misses");
-        site.store(0, fp(1), key, None);
-        assert!(site.check(0, fp(1), key, &ledger));
-        assert!(!site.check(1, fp(1), key, &ledger), "epoch bump kills it");
-        assert!(!site.check(0, fp(2), key, &ledger), "other context misses");
-        assert!(
-            !site.check(0, fp(1), demand_key(&other, Some("alice")), &ledger),
-            "other demand misses"
-        );
-        assert!(
-            !site.check(0, fp(1), demand_key(&demand, Some("bob")), &ledger),
-            "other user misses"
-        );
-    }
-
-    #[test]
-    fn site_hit_bumps_the_stored_demand_cell() {
-        let ledger = ledger();
-        let site = NativeSiteCache::new();
-        let demand = Permission::runtime("x");
-        let cell = ledger
-            .record(
-                None,
-                "file:/apps/x",
-                None,
-                "permission runtime \"x\"",
-                true,
-                false,
-                1,
-            )
-            .unwrap();
-        let key = demand_key(&demand, None);
-        site.store(0, fp(1), key, Some(Arc::clone(&cell)));
-        assert!(site.check(0, fp(1), key, &ledger));
-        assert!(site.check(0, fp(1), key, &ledger));
-        assert_eq!(ledger.rows()[0].granted, 3, "1 record + 2 site hits");
-    }
-
-    #[test]
-    fn active_site_stack_nests_and_unwinds() {
-        let ledger = ledger();
-        let demand = Permission::runtime("x");
-        let outer = Arc::new(NativeSiteCache::new());
-        let inner = Arc::new(NativeSiteCache::new());
-        assert!(!has_active_site());
-        assert!(!site_check(0, fp(1), &demand, None, &ledger));
-        {
-            let _g1 = enter_native_site(&outer);
-            assert!(has_active_site());
-            site_store(0, fp(1), &demand, None, None);
-            assert!(site_check(0, fp(1), &demand, None, &ledger));
-            {
-                // A nested native (host re-enters the interpreter) owns the
-                // checks while active; the outer grant is invisible.
-                let _g2 = enter_native_site(&inner);
-                assert!(!site_check(0, fp(1), &demand, None, &ledger));
-            }
-            assert!(site_check(0, fp(1), &demand, None, &ledger));
-        }
-        assert!(!has_active_site());
-    }
-
-    #[test]
-    fn lookup_with_cell_returns_the_stored_cell() {
-        let cache = DecisionCache::new();
-        let ledger = ledger();
-        let demand = Permission::runtime("x");
-        assert!(cache
-            .lookup_granted_with_cell(fp(1), &demand, None, &ledger)
-            .is_none());
-        let cell = ledger
-            .record(
-                None,
-                "file:/apps/x",
-                None,
-                "permission runtime \"x\"",
-                true,
-                false,
-                1,
-            )
-            .unwrap();
-        cache.insert_granted(fp(1), &demand, None, cache.epoch(), Some(Arc::clone(&cell)));
-        let got = cache
-            .lookup_granted_with_cell(fp(1), &demand, None, &ledger)
-            .expect("hit");
-        assert!(got.is_some_and(|c| Arc::ptr_eq(&c, &cell)));
-        cache.invalidate();
-        assert!(cache
-            .lookup_granted_with_cell(fp(1), &demand, None, &ledger)
-            .is_none());
     }
 }

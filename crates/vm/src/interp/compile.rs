@@ -9,9 +9,8 @@
 //!   re-allocating `Arc::from(&str)` each time.
 //! * **Reference resolution** — jump targets are rewritten from wire
 //!   instruction indices to compiled-op indices, and `Call` sites from
-//!   string-keyed `image.method(name)` scans to method indices. Each
-//!   `CallNative` site gets its own [`NativeSiteCache`] inline cache wired
-//!   to the decision cache.
+//!   string-keyed `image.method(name)` scans to method indices;
+//!   `CallNative` names are interned into the same pool.
 //! * **Superinstruction fusion** — common adjacent pairs/triples/quads/
 //!   quints (`Load+Load+<intop>`, `<cmp>+JumpIfFalse`, `Load+PushInt+Add`,
 //!   `Load+Store`, their `...+Store` / `...+JumpIfFalse` extensions, and
@@ -35,7 +34,6 @@ use std::sync::Arc;
 
 use super::image::{ClassImage, Insn};
 use super::verify::verify_facts;
-use crate::decision_cache::NativeSiteCache;
 use crate::error::VmError;
 use crate::Result;
 
@@ -105,11 +103,11 @@ pub(crate) mod op {
 /// reads with one load and no pointer chasing.
 ///
 /// Field use varies by opcode: `a`/`b` hold local slots or an argc, `t` a
-/// resolved branch target / method index / pool index / native-site index /
-/// third local slot, `k` an integer constant. `cost` is how many wire
-/// instructions this op stands for — the unit in which fuel, instruction
-/// accounting, and the 1024-instruction safepoint cadence are charged, so
-/// fusion is invisible to all three.
+/// resolved branch target / method index / pool index (string literal or
+/// native name) / third local slot, `k` an integer constant. `cost` is how
+/// many wire instructions this op stands for — the unit in which fuel,
+/// instruction accounting, and the 1024-instruction safepoint cadence are
+/// charged, so fusion is invisible to all three.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Op {
     pub code: u8,
@@ -159,16 +157,6 @@ pub(crate) struct CompiledMethod {
     pub code: Vec<Op>,
 }
 
-/// One `CallNative` site: the resolved name plus the site's inline cache
-/// into the permission decision cache.
-#[derive(Debug)]
-pub(crate) struct NativeSite {
-    /// The native operation name.
-    pub name: Arc<str>,
-    /// The per-site monomorphic grant cache.
-    pub cache: Arc<NativeSiteCache>,
-}
-
 /// A verified, pre-decoded class image — the unit the fast dispatch loop
 /// executes and what [`ClassDef`](crate::classes::ClassDef) caches per
 /// defined class.
@@ -181,7 +169,6 @@ pub struct CompiledImage {
     methods: Vec<CompiledMethod>,
     by_name: HashMap<String, usize>,
     pool: Vec<Arc<str>>,
-    sites: Vec<NativeSite>,
 }
 
 impl std::fmt::Debug for CompiledImage {
@@ -190,7 +177,6 @@ impl std::fmt::Debug for CompiledImage {
             .field("class", &self.image.name)
             .field("methods", &self.methods.len())
             .field("pool", &self.pool.len())
-            .field("sites", &self.sites.len())
             .finish()
     }
 }
@@ -201,8 +187,8 @@ impl CompiledImage {
     /// # Errors
     ///
     /// [`VmError::Verification`] if the image fails verification or exceeds
-    /// compiled-form limits (methods, string constants, or native sites
-    /// beyond `u16::MAX`).
+    /// compiled-form limits (methods or interned strings beyond
+    /// `u16::MAX`).
     pub fn compile(image: Arc<ClassImage>) -> Result<CompiledImage> {
         let facts = verify_facts(&image)?;
         let limit = |what: &str| VmError::Verification {
@@ -216,7 +202,6 @@ impl CompiledImage {
             image: &image,
             pool: Vec::new(),
             pool_index: HashMap::new(),
-            sites: Vec::new(),
         };
         let mut methods = Vec::with_capacity(image.methods.len());
         let mut by_name: HashMap<String, usize> = HashMap::new();
@@ -235,18 +220,14 @@ impl CompiledImage {
             by_name.entry(m.name.clone()).or_insert(index);
         }
         if ctx.pool.len() > usize::from(u16::MAX) {
-            return Err(limit("string constants"));
+            return Err(limit("interned strings"));
         }
-        if ctx.sites.len() > usize::from(u16::MAX) {
-            return Err(limit("native call sites"));
-        }
-        let (pool, sites) = (ctx.pool, ctx.sites);
+        let pool = ctx.pool;
         Ok(CompiledImage {
             image,
             methods,
             by_name,
             pool,
-            sites,
         })
     }
 
@@ -256,7 +237,7 @@ impl CompiledImage {
     }
 
     /// Approximate resident bytes of the pre-decoded form: ops, interned
-    /// pool strings, native-site names, and method labels. Charged against
+    /// pool strings (literals and native names), and method labels. Charged against
     /// the defining application's `Memory` quota (and released in bulk at
     /// reap), so hostile code cannot balloon the VM by defining classes.
     pub fn footprint_bytes(&self) -> u64 {
@@ -266,8 +247,7 @@ impl CompiledImage {
             .map(|m| m.code.len() * std::mem::size_of::<Op>() + m.qualified.len())
             .sum();
         let pool: usize = self.pool.iter().map(|s| s.len()).sum();
-        let sites: usize = self.sites.iter().map(|s| s.name.len()).sum();
-        (ops + pool + sites) as u64
+        (ops + pool) as u64
     }
 
     pub(crate) fn methods(&self) -> &[CompiledMethod] {
@@ -282,22 +262,17 @@ impl CompiledImage {
         &self.pool[usize::from(index)]
     }
 
-    pub(crate) fn site(&self, index: u16) -> &NativeSite {
-        &self.sites[usize::from(index)]
-    }
-
     #[cfg(test)]
     pub(crate) fn pool_len(&self) -> usize {
         self.pool.len()
     }
 }
 
-/// Shared per-image compile state: the string pool and native-site table.
+/// Shared per-image compile state: the string pool.
 struct Cx<'a> {
     image: &'a ClassImage,
     pool: Vec<Arc<str>>,
     pool_index: HashMap<String, u16>,
-    sites: Vec<NativeSite>,
 }
 
 impl Cx<'_> {
@@ -309,15 +284,6 @@ impl Cx<'_> {
         let idx = self.pool.len().min(usize::from(u16::MAX)) as u16;
         self.pool.push(Arc::from(s));
         self.pool_index.insert(s.to_string(), idx);
-        idx
-    }
-
-    fn site(&mut self, name: &str) -> u16 {
-        let idx = self.sites.len().min(usize::from(u16::MAX)) as u16;
-        self.sites.push(NativeSite {
-            name: Arc::from(name),
-            cache: Arc::new(NativeSiteCache::new()),
-        });
         idx
     }
 
@@ -640,7 +606,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
         },
         Insn::CallNative { name, argc } => Op {
             a: *argc,
-            t: ctx.site(name),
+            t: ctx.intern(name),
             ..Op::plain(op::CALL_NATIVE)
         },
         Insn::Return => Op::plain(op::RETURN),
@@ -873,16 +839,11 @@ mod tests {
         let code = &ci.methods()[0].code;
         assert_eq!(code[0].code, op::CALL);
         assert_eq!(usize::from(code[0].t), 1, "resolved to leaf's index");
-        // Each CallNative occurrence is its own site (per-site inline
-        // caches), even for the same native name.
+        // CallNative names are interned: both calls share one pool slot.
         assert_eq!(code[2].code, op::CALL_NATIVE);
         assert_eq!(code[4].code, op::CALL_NATIVE);
-        assert_ne!(code[2].t, code[4].t);
-        assert_eq!(&*ci.site(code[2].t).name, "print");
-        assert!(!Arc::ptr_eq(
-            &ci.site(code[2].t).cache,
-            &ci.site(code[4].t).cache
-        ));
+        assert_eq!(code[2].t, code[4].t);
+        assert_eq!(&**ci.pool_str(code[2].t), "print");
     }
 
     #[test]

@@ -1061,7 +1061,7 @@ impl Interpreter {
                 op::CALL_NATIVE => {
                     pending.native_calls += 1;
                     let argc = usize::from(o.a);
-                    let site = ci.site(o.t);
+                    let name = ci.pool_str(o.t);
                     let args_start = sp - argc;
                     let mut call_args = Vec::with_capacity(argc);
                     for slot in &mut arena[args_start..sp] {
@@ -1070,15 +1070,10 @@ impl Interpreter {
                     sp = args_start;
                     // Keep the shared counters fresh across the host call
                     // (a native may observe stats or re-enter the
-                    // interpreter), and mark this site active so access
-                    // checks it triggers hit its inline cache.
+                    // interpreter).
                     reconcile!();
                     self.stats.flush_pending(&mut pending);
-                    let result = {
-                        let _active = crate::decision_cache::enter_native_site(&site.cache);
-                        self.host.invoke(&site.name, call_args)
-                    };
-                    match result {
+                    match self.host.invoke(name, call_args) {
                         Ok(v) => {
                             arena[sp] = v;
                             sp += 1;

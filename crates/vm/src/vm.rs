@@ -351,61 +351,15 @@ impl Vm {
         // insert below can never serve a post-reload lookup.
         let epoch = self.inner.decisions.epoch();
         let user = self.current_user();
-        // Per-site inline cache: when this check was triggered from inside
-        // an interpreted `CallNative` site, the site remembers its last
-        // grant, so a warm repeat is answered by one epoch/fingerprint
-        // compare — before even hashing into the shared decision cache.
-        if crate::decision_cache::site_check(
-            epoch,
+        // A hit also bumps the demand-ledger cell captured when the decision
+        // was first derived (one relaxed fetch_add inside the lookup), so
+        // the always-on ledger adds no hashing, strings, or clock here.
+        if self.inner.decisions.lookup_granted(
             fingerprint,
             perm,
             user.as_deref(),
             self.inner.obs.demands(),
         ) {
-            let latency_ns = started.elapsed().as_nanos() as u64;
-            self.inner.obs.record_access_check(
-                "",
-                None,
-                depth,
-                user.as_deref(),
-                latency_ns,
-                CacheOutcome::Hit,
-            );
-            return Ok(());
-        }
-        // A hit also bumps the demand-ledger cell captured when the decision
-        // was first derived (one relaxed fetch_add inside the lookup), so
-        // the always-on ledger adds no hashing, strings, or clock here.
-        // With a native site active, the hit additionally primes the site's
-        // inline cache (carrying the cell along) for the next repeat.
-        let shared_hit = if crate::decision_cache::has_active_site() {
-            match self.inner.decisions.lookup_granted_with_cell(
-                fingerprint,
-                perm,
-                user.as_deref(),
-                self.inner.obs.demands(),
-            ) {
-                Some(cell) => {
-                    crate::decision_cache::site_store(
-                        epoch,
-                        fingerprint,
-                        perm,
-                        user.as_deref(),
-                        cell,
-                    );
-                    true
-                }
-                None => false,
-            }
-        } else {
-            self.inner.decisions.lookup_granted(
-                fingerprint,
-                perm,
-                user.as_deref(),
-                self.inner.obs.demands(),
-            )
-        };
-        if shared_hit {
             let latency_ns = started.elapsed().as_nanos() as u64;
             self.inner.obs.record_access_check(
                 "",
@@ -472,15 +426,6 @@ impl Vm {
                     perm,
                     user.as_deref(),
                     epoch,
-                    demand_cell.clone(),
-                );
-                // Prime the triggering native call site's inline cache
-                // (no-op when the check came from outside the interpreter).
-                crate::decision_cache::site_store(
-                    epoch,
-                    fingerprint,
-                    perm,
-                    user.as_deref(),
                     demand_cell,
                 );
                 self.inner.obs.record_access_check(
@@ -1319,8 +1264,45 @@ mod tests {
     }
 
     #[test]
-    fn native_call_sites_answer_warm_checks_from_their_inline_cache() {
+    fn checked_natives_in_a_compiled_loop_hit_the_decision_cache() {
+        use crate::interp::{assemble, Interpreter, NativeHost, Value};
         use jmp_security::FileActions;
+
+        /// Every call is an access-checked file read.
+        struct CheckedRead {
+            vm: Vm,
+            demand: Permission,
+        }
+        impl NativeHost for CheckedRead {
+            fn invoke(&self, _name: &str, _args: Vec<Value>) -> Result<Value> {
+                self.vm.access_check(&self.demand)?;
+                Ok(Value::Int(1))
+            }
+        }
+
+        const CALLS: i64 = 6;
+        let image = assemble(
+            r#"
+            class Nat
+            method main/1 locals=1
+            loop:
+                load 0
+                push_int 0
+                gt
+                jump_if_false done
+                push_int 1
+                native read/1
+                pop
+                load 0
+                push_int 1
+                sub
+                store 0
+                jump loop
+            done:
+                return
+            "#,
+        )
+        .unwrap();
         let mut policy = Policy::new();
         policy.grant_code(
             CodeSource::remote("http://applets/-"),
@@ -1332,48 +1314,73 @@ mod tests {
             vm.policy()
                 .permissions_for(&CodeSource::remote("http://applets/clock")),
         ));
-        let demand = Permission::file("/data/report", FileActions::READ);
-        let site = Arc::new(crate::decision_cache::NativeSiteCache::new());
-        stack::call_as("Applet", Arc::clone(&applet), || {
-            for _ in 0..5 {
-                // One guard per call, exactly like the interpreter's
-                // CALL_NATIVE dispatch arm.
-                let _active = crate::decision_cache::enter_native_site(&site);
-                vm.access_check(&demand).unwrap();
-            }
-            // After the first full walk primed it, the site is warm: the
-            // next check through it is answered by the inline compare alone.
-            let _active = crate::decision_cache::enter_native_site(&site);
-            let (fingerprint, _) = stack::probe_fingerprint();
-            assert!(crate::decision_cache::site_check(
-                vm.inner.decisions.epoch(),
-                fingerprint,
-                &demand,
-                None,
-                vm.obs().demands(),
-            ));
+        let host = Arc::new(CheckedRead {
+            vm: vm.clone(),
+            demand: Permission::file("/data/report", FileActions::READ),
         });
+        let interp = Interpreter::new(Arc::new(image), host).unwrap();
+        let run = || {
+            stack::call_as("Applet", Arc::clone(&applet), || {
+                interp.run("main", vec![Value::Int(CALLS)]).unwrap();
+            });
+        };
         let metrics = vm.obs().vm_metrics();
-        assert_eq!(metrics.counter("access.cache.misses").get(), 1);
-        assert_eq!(metrics.counter("access.cache.hits").get(), 4);
-        // Inline-cache hits keep feeding the always-on demand ledger.
+        let (hits, misses) = (
+            metrics.counter("access.cache.hits"),
+            metrics.counter("access.cache.misses"),
+        );
+
+        run();
+        assert_eq!(misses.get(), 1, "only the first call walks the policy");
+        assert_eq!(hits.get(), CALLS as u64 - 1);
+        // Warm hits keep feeding the always-on demand ledger.
         let rows = vm.obs().demands().rows();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].granted, 6, "1 walk + 4 warm checks + 1 probe");
-        // An epoch bump (policy/manager/resolver change) kills the site's
-        // cached grant along with the shared cache.
-        vm.inner.decisions.invalidate();
-        stack::call_as("Applet", applet, || {
-            let _active = crate::decision_cache::enter_native_site(&site);
-            let (fingerprint, _) = stack::probe_fingerprint();
-            assert!(!crate::decision_cache::site_check(
-                vm.inner.decisions.epoch(),
-                fingerprint,
-                &demand,
-                None,
-                vm.obs().demands(),
-            ));
+        assert_eq!(rows[0].granted, CALLS as u64, "1 walk + N-1 warm hits");
+
+        // A flush kills the cached grant: the next run walks once more.
+        vm.flush_access_cache();
+        run();
+        assert_eq!(misses.get(), 2);
+        assert_eq!(hits.get(), 2 * (CALLS as u64 - 1));
+    }
+
+    #[test]
+    fn a_cache_key_collision_never_grants_a_different_demand() {
+        use jmp_security::FileActions;
+        // Two demands the unkeyed cache hasher maps to one key.
+        let granted = Permission::file("/tmp/abcIW0FrxF081D3yX16", FileActions::READ);
+        let forbidden = Permission::file("/etc/shadow", FileActions::READ);
+        assert_eq!(
+            crate::decision_cache::demand_key(&granted, None),
+            crate::decision_cache::demand_key(&forbidden, None),
+            "the pair no longer collides; find a new one for the current hasher"
+        );
+
+        let mut policy = Policy::new();
+        policy.grant_code(
+            CodeSource::local("file:/apps/-"),
+            vec![Permission::file("/tmp/-", FileActions::READ)],
+        );
+        let vm = Vm::builder().policy(policy).build();
+        let app = Arc::new(jmp_security::ProtectionDomain::new(
+            CodeSource::local("file:/apps/reader"),
+            vm.policy()
+                .permissions_for(&CodeSource::local("file:/apps/reader")),
+        ));
+        stack::call_as("Reader", app, || {
+            assert!(vm.access_check(&forbidden).unwrap_err().is_security());
+            vm.access_check(&granted).unwrap();
+            vm.access_check(&granted).unwrap();
+            assert!(
+                vm.access_check(&forbidden).unwrap_err().is_security(),
+                "a cached grant for a colliding demand must not answer"
+            );
         });
+        let metrics = vm.obs().vm_metrics();
+        assert_eq!(metrics.counter("access.cache.hits").get(), 1);
+        assert_eq!(metrics.counter("security.denied").get(), 2);
+        assert_eq!(vm.obs().audit().recent().len(), 2, "both denials audited");
     }
 
     #[test]

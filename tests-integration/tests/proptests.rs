@@ -1,7 +1,7 @@
 //! Property-style tests over the core data structures and invariants:
 //! the permission lattice, policy round-trips, path normalization, the VFS
-//! against a model, thread-group accounting, and — most importantly — the
-//! `jbc` verifier's soundness contract.
+//! against a model, thread-group accounting, the `jbc` verifier's soundness
+//! contract, and the access-check fast path against a cold stack walk.
 //!
 //! Originally written with `proptest`; this build environment has no
 //! registry access, so the same properties are exercised with a seeded
@@ -689,4 +689,173 @@ fn streaming_grep_and_wc_match_the_whole_input_formulas() {
         }
     }
     rt.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Access checks: cached fast path vs. a cold walk
+// ---------------------------------------------------------------------------
+
+const CHECK_PATHS: [&str; 6] = [
+    "/tmp/a",
+    "/tmp/b/c",
+    "/data/x",
+    "/data/x/y",
+    "/etc/shadow",
+    "/home/alice/f",
+];
+const GRANT_PATHS: [&str; 6] = [
+    "/tmp/-",
+    "/data/*",
+    "/data/x",
+    "/etc/shadow",
+    "/home/alice/-",
+    "<<ALL FILES>>",
+];
+const CHECK_USERS: [Option<&str>; 4] = [None, Some("alice"), Some("bob"), Some("carol")];
+
+fn small_actions(g: &mut Gen) -> jmp_security::FileActions {
+    let (read, write) = match g.below(3) {
+        0 => (true, false),
+        1 => (false, true),
+        _ => (true, true),
+    };
+    jmp_security::FileActions {
+        read,
+        write,
+        ..jmp_security::FileActions::default()
+    }
+}
+
+fn gen_check_grant(g: &mut Gen) -> jmp_security::Permission {
+    match g.below(8) {
+        0 => jmp_security::Permission::runtime(if g.bool() { "x" } else { "y" }),
+        1 if g.below(4) == 0 => jmp_security::Permission::All,
+        _ => {
+            let path = GRANT_PATHS[g.below(GRANT_PATHS.len() as u64) as usize];
+            jmp_security::Permission::file(path, small_actions(g))
+        }
+    }
+}
+
+fn gen_check_demand(g: &mut Gen) -> jmp_security::Permission {
+    if g.below(8) == 0 {
+        jmp_security::Permission::runtime(if g.bool() { "x" } else { "y" })
+    } else {
+        let path = CHECK_PATHS[g.below(CHECK_PATHS.len() as u64) as usize];
+        jmp_security::Permission::file(path, small_actions(g))
+    }
+}
+
+/// A policy whose user grants (the part a reload changes for live domains)
+/// are drawn fresh; `carol` never holds anything.
+fn gen_user_policy(g: &mut Gen) -> jmp_security::Policy {
+    let mut policy = jmp_security::Policy::new();
+    for user in ["alice", "bob"] {
+        let grants = (0..g.below(4)).map(|_| gen_check_grant(g)).collect();
+        policy.grant_user(user, grants);
+    }
+    policy
+}
+
+/// Runs `check` with one frame per domain in `stack` (outermost first),
+/// the innermost inside `doPrivileged` when `privileged`.
+fn with_domain_frames(
+    stack: &[std::sync::Arc<jmp_security::ProtectionDomain>],
+    privileged: bool,
+    check: &mut dyn FnMut(),
+) {
+    match stack.split_first() {
+        None if privileged => jmp_vm::stack::do_privileged(check),
+        None => check(),
+        Some((outer, rest)) => jmp_vm::stack::call_as("Gen", std::sync::Arc::clone(outer), || {
+            with_domain_frames(rest, privileged, check)
+        }),
+    }
+}
+
+/// Seeded streams of (domain stack, demand, user) checks with interleaved
+/// policy reloads: every `Vm::access_check` answer equals a cold
+/// `AccessController::check_with` on the same context and the current
+/// policy, and every denial is audited exactly once with the cold walk's
+/// message. Each check is repeated in a short burst so the decision cache
+/// serves warm hits between reloads.
+#[test]
+fn cached_access_checks_match_a_cold_walk() {
+    use jmp_security::{AccessController, CodeSource, PermissionCollection, ProtectionDomain};
+    use std::sync::{Arc, Mutex};
+
+    for seed in [0x5EC0_u64, 0xCAC4E, 0xD0_4A1A] {
+        let mut g = Gen::new(seed);
+        let vm = jmp_vm::Vm::builder()
+            .policy(gen_user_policy(&mut g))
+            .build();
+        let user: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
+        let resolver_user = Arc::clone(&user);
+        vm.set_user_resolver(Arc::new(move || resolver_user.lock().unwrap().clone()))
+            .unwrap();
+        let domains: Vec<Arc<ProtectionDomain>> = (0..5)
+            .map(|i| {
+                let mut grants: PermissionCollection =
+                    (0..g.below(3)).map(|_| gen_check_grant(&mut g)).collect();
+                if g.bool() {
+                    grants.add(jmp_security::Permission::exercise_user_permissions());
+                }
+                let source = CodeSource::local(format!("file:/apps/gen-{seed:x}-{i}"));
+                Arc::new(ProtectionDomain::new(source, grants))
+            })
+            .collect();
+
+        let (mut checks, mut denials, mut reloads) = (0u64, 0u64, 0u64);
+        for _ in 0..400 {
+            if g.below(16) == 0 {
+                vm.set_policy(gen_user_policy(&mut g)).unwrap();
+                reloads += 1;
+                continue;
+            }
+            let running = CHECK_USERS[g.below(CHECK_USERS.len() as u64) as usize];
+            *user.lock().unwrap() = running.map(str::to_string);
+            let stack: Vec<_> = (0..1 + g.below(3))
+                .map(|_| Arc::clone(&domains[g.below(domains.len() as u64) as usize]))
+                .collect();
+            let privileged = g.below(4) == 0;
+            let demand = gen_check_demand(&mut g);
+            let burst = 1 + g.below(4);
+            with_domain_frames(&stack, privileged, &mut || {
+                for _ in 0..burst {
+                    let fast = vm.access_check(&demand);
+                    let ctx = jmp_vm::stack::current_access_context();
+                    let cold = AccessController::check_with(&ctx, &demand, running, &vm.policy());
+                    checks += 1;
+                    match (fast, cold) {
+                        (Ok(()), Ok(())) => {}
+                        (Err(jmp_vm::VmError::Security(fast)), Err(cold)) => {
+                            denials += 1;
+                            assert_eq!(fast.to_string(), cold.to_string());
+                            assert_eq!(vm.obs().audit().total(), denials, "one record per denial");
+                            let record = vm.obs().audit().recent().pop().unwrap();
+                            assert_eq!(record.permission, demand.to_string());
+                            assert_eq!(record.context, cold.to_string());
+                            assert_eq!(record.user.as_deref(), running);
+                        }
+                        (fast, cold) => panic!(
+                            "seed {seed:#x}: {demand} as {running:?} over {} domains \
+                             (privileged {privileged}): fast {fast:?}, cold {cold:?}",
+                            stack.len()
+                        ),
+                    }
+                }
+            });
+        }
+        // The stream exercised every path: grants, denials, warm hits,
+        // walks, and reloads.
+        let metrics = vm.obs().vm_metrics();
+        assert_eq!(metrics.counter("security.denied").get(), denials);
+        assert!(
+            denials > 0 && denials < checks,
+            "seed {seed:#x}: {denials}/{checks}"
+        );
+        assert!(reloads > 0);
+        assert!(metrics.counter("access.cache.hits").get() > 0);
+        assert!(metrics.counter("access.cache.misses").get() > 0);
+    }
 }
