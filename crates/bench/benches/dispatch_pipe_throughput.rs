@@ -1,9 +1,11 @@
 //! A6: the data-plane primitives in isolation — ring-pipe copies (aligned
-//! and seam-straddling), and the event queue's batched+coalescing path
-//! against the one-lock-per-event path it replaced.
+//! and seam-straddling), the event queue's batched+coalescing path against
+//! the one-lock-per-event path it replaced, and the `wc` and `grep` byte
+//! kernels over a bulk text block.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use jmp_awt::{Event, EventKind, EventQueue, WindowId};
+use jmp_shell::utils::{grep_lines, wc_counts};
 use jmp_vm::io::pipe;
 
 const CHUNK: usize = 4 * 1024;
@@ -101,5 +103,55 @@ fn bench_events(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipe, bench_events);
+/// Bytes in the utilities' input block: the size of jmpbench's `pipe_bulk`
+/// file.
+const TEXT_BYTES: usize = 384 * 1024;
+
+/// Seeded ASCII lines of 3..=8 words; about half hold the `x` that `grep`
+/// looks for, as in `pipe_bulk`.
+fn word_lines(bytes: usize) -> Vec<u8> {
+    const WORDS: [&str; 12] = [
+        "alpha", "box", "cedar", "delta", "lynx", "maple", "oxide", "pine", "quartz", "sixty",
+        "tundra", "wax",
+    ];
+    let mut state = 0x5eed_u64;
+    let mut next = |n: u64| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n) as usize
+    };
+    let mut text = Vec::with_capacity(bytes + 64);
+    while text.len() < bytes {
+        let words: Vec<&str> = (0..3 + next(6)).map(|_| WORDS[next(12)]).collect();
+        let mut line = words.join(" ");
+        if next(2) == 0 {
+            line = line.replace('x', "k");
+        }
+        text.extend_from_slice(line.as_bytes());
+        text.push(b'\n');
+    }
+    text
+}
+
+/// `wc`'s and `grep x`'s kernels over one 384 KiB block per iteration.
+fn bench_utils(c: &mut Criterion) {
+    let text = word_lines(TEXT_BYTES);
+    let mut group = c.benchmark_group("A6/utils");
+    group.throughput(Throughput::Bytes(text.len() as u64));
+    group.bench_function("wc_384k", |b| b.iter(|| wc_counts(&text)));
+    let mut out = Vec::with_capacity(text.len());
+    group.bench_function("grep_x_384k", |b| {
+        b.iter(|| {
+            out.clear();
+            grep_lines(&text, "x", &mut out);
+            out.len()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipe, bench_events, bench_utils);
 criterion_main!(benches);

@@ -44,6 +44,15 @@ pub(crate) enum OwnedStream {
     Out(OutStream),
 }
 
+impl OwnedStream {
+    fn close(&self, owner: IoToken) {
+        let _ = match self {
+            OwnedStream::In(s) => s.close(owner),
+            OwnedStream::Out(s) => s.close(owner),
+        };
+    }
+}
+
 pub(crate) struct AppInner {
     id: AppId,
     name: String,
@@ -411,6 +420,33 @@ impl Application {
         Ok(())
     }
 
+    /// Closes `stream`, which this application opened, and stops tracking
+    /// it, so its `handles` slot is released now rather than at teardown.
+    /// A long-lived application that opens streams per request (a shell's
+    /// pipes and redirects) must do this, or it holds every one of them,
+    /// each pipe with its ring buffer, until it exits. A stream this
+    /// application did not open is left alone.
+    pub fn close_owned_in(&self, stream: &InStream) {
+        self.close_owned(|s| matches!(s, OwnedStream::In(s) if s.same_stream(stream)));
+    }
+
+    /// As [`Application::close_owned_in`], for an output stream.
+    pub fn close_owned_out(&self, stream: &OutStream) {
+        self.close_owned(|s| matches!(s, OwnedStream::Out(s) if s.same_stream(stream)));
+    }
+
+    fn close_owned(&self, is_it: impl Fn(&OwnedStream) -> bool) {
+        let found = {
+            let mut owned = self.inner.owned_streams.lock();
+            let index = owned.iter().position(is_it);
+            index.map(|i| owned.swap_remove(i))
+        };
+        if let Some(stream) = found {
+            stream.close(self.inner.io_token);
+            self.inner.context.uncharge(ResourceKind::Handles, 1);
+        }
+    }
+
     /// Live threads belonging to this application (for `ps`).
     ///
     /// Walks the application's own group subtree rather than filtering the
@@ -595,9 +631,14 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
             // Natural end (paper §5.1): "the JVM will call the exit method as
             // soon as there are only daemon threads left in the application's
             // thread group."
-            let hook_app = app.clone();
+            // The hook holds the application weakly: the group it hangs on
+            // belongs to the application, so a strong handle would be a
+            // cycle that keeps both alive after the reap.
+            let hook_app = Arc::downgrade(&app.inner);
             group.set_empty_hook(Arc::new(move || {
-                hook_app.request_exit(0);
+                if let Some(inner) = hook_app.upgrade() {
+                    Application { inner }.request_exit(0);
+                }
             }));
 
             // The main thread: runs `main` via "reflection" (dynamic class
@@ -682,18 +723,10 @@ pub(crate) fn reap(rt: &MpRuntime, id: AppId) {
     //    inherited standard streams are shared with other applications and
     //    must survive (§5.1). Each close releases the handle charged at
     //    registration, so the ledger drains with the teardown.
-    let token = app.inner.io_token;
     let mut released_handles = 0;
     for owned in app.inner.owned_streams.lock().drain(..) {
         released_handles += 1;
-        match owned {
-            OwnedStream::In(s) => {
-                let _ = s.close(token);
-            }
-            OwnedStream::Out(s) => {
-                let _ = s.close(token);
-            }
-        }
+        owned.close(app.inner.io_token);
     }
     app.inner
         .context

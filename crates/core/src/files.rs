@@ -214,15 +214,14 @@ struct FileReadDevice {
 impl ReadDevice for FileReadDevice {
     fn read(&self, buf: &mut [u8]) -> jmp_vm::Result<usize> {
         let mut pos = self.pos.lock();
-        let chunk = self
+        let n = self
             .vfs
-            .read_at(&self.path, *pos, buf.len(), self.uid)
+            .read_at(&self.path, *pos, buf, self.uid)
             .map_err(|e| VmError::Io {
                 message: e.to_string(),
             })?;
-        buf[..chunk.len()].copy_from_slice(&chunk);
-        *pos += chunk.len() as u64;
-        Ok(chunk.len())
+        *pos += n as u64;
+        Ok(n)
     }
 }
 

@@ -112,6 +112,25 @@ fn finished_wait_returns_at_once_and_gives_up_at_a_passed_deadline() {
 }
 
 #[test]
+fn a_reaped_application_frees_its_thread_group() {
+    // The group's empty hook holds its application weakly. A strong handle
+    // closed a cycle (application → group → hook → application) that kept
+    // every reaped application and its group alive for good.
+    let rt = runtime();
+    register(&rt, "Quick", "file:/apps/quick", |_| Ok(()));
+    for _ in 0..3 {
+        rt.launch("Quick", &[]).unwrap().wait_for().unwrap();
+    }
+    // The reaper lets go of its handle just after it finishes the reap.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !rt.vm().main_group().children().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(rt.vm().main_group().children().len(), 0);
+    rt.shutdown();
+}
+
+#[test]
 fn two_instances_are_distinct_applications() {
     // Fig 3: threads distinguish two instances of the same program.
     let rt = runtime();

@@ -975,7 +975,10 @@ impl Shell {
         let mut apps: Vec<Application> = Vec::with_capacity(n);
         // The write end the shell created for each stage's stdout (closed by
         // the shell once that stage finishes — "it is the shell's
-        // responsibility to close those streams", §5.1).
+        // responsibility to close those streams", §5.1), and the read ends
+        // it created (pipes and `<` files, closed once every stage is done).
+        // Closing them also stops the shell owning them: a long-lived shell
+        // would otherwise hold every pipe it ever made until it exits.
         let mut created_writers: Vec<Option<OutStream>> = Vec::with_capacity(n);
         let mut prev_reader: Option<InStream> = None;
         let mut created_readers: Vec<InStream> = Vec::new();
@@ -997,6 +1000,7 @@ impl Shell {
                     }
                     None if i + 1 < n => {
                         let (w, r) = pipes::make_pipe()?;
+                        created_readers.push(r.clone());
                         prev_reader = Some(r);
                         (w.clone(), Some(w))
                     }
@@ -1033,8 +1037,7 @@ impl Shell {
                 line: line.trim().to_string(),
                 apps: apps.clone(),
             });
-            // A watcher closes the created pipe ends as stages finish.
-            let token = shell_app.io_token();
+            // A watcher closes the created streams as stages finish.
             let watch_apps = apps.clone();
             let vm = rt.vm().clone();
             vm.thread_builder()
@@ -1044,23 +1047,25 @@ impl Shell {
                     for (app, writer) in watch_apps.iter().zip(created_writers) {
                         let _ = app.wait_for();
                         if let Some(writer) = writer {
-                            let _ = writer.close(token);
+                            shell_app.close_owned_out(&writer);
                         }
+                    }
+                    for reader in created_readers {
+                        shell_app.close_owned_in(&reader);
                     }
                 })
                 .map_err(Error::from)?;
         } else {
-            let token = shell_app.io_token();
             for (app, writer) in apps.iter().zip(created_writers) {
                 app.wait_for()?;
                 // Close the pipe/file write end we created for this stage so
                 // the next stage sees end-of-file.
                 if let Some(writer) = writer {
-                    let _ = writer.close(token);
+                    shell_app.close_owned_out(&writer);
                 }
             }
             for reader in created_readers {
-                let _ = reader.close(token);
+                shell_app.close_owned_in(&reader);
             }
         }
         Ok(apps)

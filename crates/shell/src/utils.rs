@@ -9,6 +9,8 @@
 //! "also work if they are not run from a terminal (such as when they are
 //! used in a pipe)" (§6.2).
 
+use std::borrow::Cow;
+
 use jmp_core::{files, jsystem, login, AppId, AppStatus, Application, MpRuntime};
 use jmp_vfs::FileKind;
 use jmp_vm::io::DEFAULT_PIPE_CAPACITY;
@@ -65,13 +67,16 @@ pub fn cat_main(args: Vec<String>) -> Result<()> {
     let out = jsystem::stdout().map_err(io_err)?;
     if args.is_empty() {
         let input = jsystem::stdin().map_err(io_err)?;
-        let mut buf = [0u8; 4096];
+        let mut buf = vec![0u8; FIRST_READ];
         loop {
             let n = input.read(&mut buf)?;
             if n == 0 {
                 return Ok(());
             }
             out.write(&buf[..n])?;
+            if n == buf.len() && n < DEFAULT_PIPE_CAPACITY {
+                buf.resize(2 * n, 0);
+            }
         }
     }
     for path in args {
@@ -118,11 +123,18 @@ pub fn head_main(args: Vec<String>) -> Result<()> {
     Ok(())
 }
 
-/// Reads the current application's stdin to end-of-file in pipe-sized
-/// chunks and hands `block` runs of whole lines: every block but the last
-/// ends just after a `\n`, and the unfinished last line of one read is
-/// carried over to the next. The tail left at end-of-file is the final
-/// block.
+/// The size of a utility's first stdin read. A read that fills the buffer
+/// doubles it, up to [`DEFAULT_PIPE_CAPACITY`], so a one-line input never
+/// allocates a pipe's worth and a bulk input reaches pipe-sized reads after
+/// a few calls.
+const FIRST_READ: usize = 1024;
+
+/// Reads the current application's stdin to end-of-file and hands `block`
+/// runs of whole lines: every block but the last ends just after a `\n`,
+/// and the unfinished last line of one read is carried over to the next.
+/// The tail left at end-of-file is the final block. A byte is copied once,
+/// from the device into the buffer `block` sees; only a carried partial
+/// line moves again, to the front.
 ///
 /// Lossy UTF-8 decoding, `lines()` and `split_whitespace()` never span a
 /// `\n`, so per-block results add up to the whole-input results exactly,
@@ -131,10 +143,9 @@ pub fn head_main(args: Vec<String>) -> Result<()> {
 fn for_each_line_block(mut block: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
     let input = jsystem::stdin().map_err(io_err)?;
     // `buf[..filled]` holds the carried partial line; reads land after it.
-    let mut buf = Vec::new();
+    let mut buf = vec![0u8; FIRST_READ];
     let mut filled = 0;
     loop {
-        buf.resize(filled + DEFAULT_PIPE_CAPACITY, 0);
         let n = input.read(&mut buf[filled..])?;
         if n == 0 {
             return if filled == 0 {
@@ -145,13 +156,68 @@ fn for_each_line_block(mut block: impl FnMut(&[u8]) -> Result<()>) -> Result<()>
         }
         let start = filled;
         filled += n;
-        let Some(last_newline) = buf[start..filled].iter().rposition(|&b| b == b'\n') else {
-            continue;
-        };
-        let end = start + last_newline + 1;
-        block(&buf[..end])?;
-        buf.copy_within(end..filled, 0);
-        filled -= end;
+        let full = filled == buf.len();
+        if let Some(last_newline) = buf[start..filled].iter().rposition(|&b| b == b'\n') {
+            let end = start + last_newline + 1;
+            block(&buf[..end])?;
+            buf.copy_within(end..filled, 0);
+            filled -= end;
+        }
+        // Grow after a read that filled the buffer: below a pipe's worth,
+        // or past it while one line fills the whole buffer.
+        if full && (buf.len() < DEFAULT_PIPE_CAPACITY || filled == buf.len()) {
+            buf.resize(2 * buf.len(), 0);
+        }
+    }
+}
+
+/// `char::is_whitespace` on an ASCII byte: tab, LF, VT, FF, CR and space.
+fn is_space(b: u8) -> bool {
+    (b == b' ') | (b.wrapping_sub(b'\t') < 5)
+}
+
+/// The lines and words in `data`: exactly `lines().count()` and
+/// `split_whitespace().count()` of `String::from_utf8_lossy(data)`.
+///
+/// ASCII input is counted over raw bytes. A word starts at each non-space
+/// byte that follows a space byte (or starts the input), and a last line
+/// without a `\n` counts as a line. The scan runs in 255-byte chunks with
+/// `u8` accumulators, so LLVM turns it into vector code. Input with a byte
+/// of 0x80 or above is counted by decoding it instead, since
+/// `split_whitespace` also splits at non-ASCII spaces.
+pub fn wc_counts(data: &[u8]) -> (usize, usize) {
+    let Some(&first) = data.first() else {
+        return (0, 0);
+    };
+    let mut newlines = usize::from(first == b'\n');
+    let mut words = usize::from(!is_space(first));
+    let mut high = first;
+    for (prev, next) in data.chunks(255).zip(data[1..].chunks(255)) {
+        let (mut nl, mut starts, mut or) = (0u8, 0u8, 0u8);
+        for (&a, &b) in prev.iter().zip(next) {
+            nl += u8::from(b == b'\n');
+            starts += u8::from(is_space(a) & !is_space(b));
+            or |= b;
+        }
+        newlines += usize::from(nl);
+        words += usize::from(starts);
+        high |= or;
+    }
+    if high.is_ascii() {
+        (newlines + usize::from(!data.ends_with(b"\n")), words)
+    } else {
+        let text = decode(data);
+        (text.lines().count(), text.split_whitespace().count())
+    }
+}
+
+/// `String::from_utf8_lossy(data)`, but valid input is checked with
+/// `str::from_utf8`, which skips ASCII runs a word at a time where the
+/// lossy decoder steps through every byte.
+fn decode(data: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(data) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(data),
     }
 }
 
@@ -160,9 +226,9 @@ fn for_each_line_block(mut block: impl FnMut(&[u8]) -> Result<()>) -> Result<()>
 pub fn wc_main(args: Vec<String>) -> Result<()> {
     let (mut lines, mut words, mut bytes) = (0, 0, 0);
     let mut count = |data: &[u8]| {
-        let text = String::from_utf8_lossy(data);
-        lines += text.lines().count();
-        words += text.split_whitespace().count();
+        let (l, w) = wc_counts(data);
+        lines += l;
+        words += w;
         bytes += data.len();
         Ok(())
     };
@@ -173,40 +239,105 @@ pub fn wc_main(args: Vec<String>) -> Result<()> {
     jsystem::println(&format!("{lines} {words} {bytes}")).map_err(io_err)
 }
 
-/// Matching lines are collected here and written to stdout once this many
-/// bytes are waiting, so a pipe write carries at most this plus one line.
-const GREP_BATCH: usize = 4096;
+/// Starts screened per step of the `grep` scan: one bit each of a `u64`.
+const WINDOW: usize = 64;
+
+/// Bit `i` is set where `heads[i] == first` and `tails[i] == last`, for
+/// `i` in `0..WINDOW`. The compare loop writes one flag byte per start,
+/// which LLVM turns into vector compares; a multiply then packs each eight
+/// flags (0 or 1) into eight bits.
+fn window_mask(heads: &[u8], tails: &[u8], first: u8, last: u8) -> u64 {
+    let mut flags = [0u8; WINDOW];
+    for ((flag, &a), &b) in flags.iter_mut().zip(&heads[..WINDOW]).zip(&tails[..WINDOW]) {
+        *flag = u8::from(a == first) & u8::from(b == last);
+    }
+    flags.chunks_exact(8).rev().fold(0, |mask, eight| {
+        let word = u64::from_le_bytes(eight.try_into().expect("eight flags"));
+        mask << 8 | word.wrapping_mul(0x0102_0408_1020_4080) >> 56
+    })
+}
+
+/// The first start at or after `from` where `bytes` has `pattern`'s first
+/// and last byte in place: every match starts at such a candidate. The
+/// empty pattern matches at `from` itself.
+fn next_candidate(bytes: &[u8], pattern: &[u8], mut from: usize) -> Option<usize> {
+    let (Some(&first), Some(&last)) = (pattern.first(), pattern.last()) else {
+        return Some(from);
+    };
+    let span = pattern.len() - 1;
+    while from + WINDOW + span <= bytes.len() {
+        let mask = window_mask(&bytes[from..], &bytes[from + span..], first, last);
+        if mask != 0 {
+            return Some(from + mask.trailing_zeros() as usize);
+        }
+        from += WINDOW;
+    }
+    (from..bytes.len().saturating_sub(span)).find(|&i| bytes[i] == first && bytes[i + span] == last)
+}
+
+/// Appends to `out` each line of `data` that contains `pattern`, each with
+/// a `\n` after it: byte for byte the lines of
+/// `String::from_utf8_lossy(data).lines()` that `contains(pattern)`.
+///
+/// Rather than split every line and test it, the scan screens the block
+/// for candidates, [`WINDOW`] starts at a time, and widens each one to its
+/// line; lines with no candidate hold no match and are never looked at.
+/// From its first candidate on, a line is searched once with
+/// `str::contains`, and the scan goes on after that line. It follows the
+/// `lines()` rules: a `\r` is stripped only before a `\n`, so a match that
+/// runs into that `\r` is not in the line; the end of `data` closes a last
+/// line but adds no empty one; the empty pattern matches every line.
+pub fn grep_lines(data: &[u8], pattern: &str, out: &mut Vec<u8>) {
+    if pattern.contains('\n') {
+        return; // no line holds a `\n`
+    }
+    let text = decode(data);
+    let bytes = text.as_bytes();
+    // `pos` is always a line start, and every line before it is done.
+    let mut pos = 0;
+    while pos < text.len() {
+        let Some(hit) = next_candidate(bytes, pattern.as_bytes(), pos) else {
+            return;
+        };
+        let before = bytes[pos..hit].iter().rposition(|&b| b == b'\n');
+        let start = before.map_or(pos, |i| pos + i + 1);
+        let newline = bytes[hit..].iter().position(|&b| b == b'\n');
+        let (end, next) = match newline.map(|i| hit + i) {
+            Some(nl) if nl > start && bytes[nl - 1] == b'\r' => (nl - 1, nl + 1),
+            Some(nl) => (nl, nl + 1),
+            None => (text.len(), text.len()),
+        };
+        // A candidate is never a `\n`, so `hit <= end`; and it starts a
+        // character, since a pattern's first byte never continues one.
+        if text[hit..end].contains(pattern) {
+            out.extend_from_slice(&bytes[start..end]);
+            out.push(b'\n');
+        }
+        pos = next;
+    }
+}
 
 /// `grep pattern [file]` — print lines containing `pattern` (substring).
-/// Stdin is scanned block by block as it arrives; matches go to stdout in
-/// batches of about [`GREP_BATCH`] bytes rather than one write per line.
+/// Stdin is scanned block by block as it arrives, and each block's matches
+/// go to stdout in one write.
 pub fn grep_main(args: Vec<String>) -> Result<()> {
     let pattern = args.first().cloned().ok_or_else(|| VmError::Io {
         message: "grep: missing pattern".into(),
     })?;
     let out = jsystem::stdout().map_err(io_err)?;
-    let mut batch = Vec::with_capacity(2 * GREP_BATCH);
+    let mut matches = Vec::new();
     let mut scan = |data: &[u8]| {
-        for line in String::from_utf8_lossy(data).lines() {
-            if line.contains(&pattern) {
-                batch.extend_from_slice(line.as_bytes());
-                batch.push(b'\n');
-                if batch.len() >= GREP_BATCH {
-                    out.write(&batch)?;
-                    batch.clear();
-                }
-            }
+        grep_lines(data, &pattern, &mut matches);
+        if matches.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let written = out.write(&matches);
+        matches.clear();
+        written
     };
     match args.get(1) {
-        Some(path) => scan(&files::read(path).map_err(io_err)?)?,
-        None => for_each_line_block(&mut scan)?,
-    }
-    if batch.is_empty() {
-        Ok(())
-    } else {
-        out.write(&batch)
+        Some(path) => scan(&files::read(path).map_err(io_err)?),
+        None => for_each_line_block(scan),
     }
 }
 
@@ -476,4 +607,122 @@ fn run_session() -> Result<()> {
     let shell = Application::exec("shell", &[]).map_err(io_err)?;
     shell.wait_for().map_err(io_err)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{grep_lines, wc_counts};
+
+    /// SplitMix64: a seeded, dependency-free generator for the inputs.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// Up to `max` pieces drawn from `alphabet`, concatenated.
+        fn text(&mut self, alphabet: &[&str], max: usize) -> String {
+            (0..self.below(max + 1))
+                .map(|_| alphabet[self.below(alphabet.len())])
+                .collect()
+        }
+    }
+
+    fn grep_reference(data: &[u8], pattern: &str) -> Vec<u8> {
+        String::from_utf8_lossy(data)
+            .lines()
+            .filter(|line| line.contains(pattern))
+            .flat_map(|line| [line.as_bytes(), b"\n"].concat())
+            .collect()
+    }
+
+    fn wc_reference(data: &[u8]) -> (usize, usize) {
+        let text = String::from_utf8_lossy(data);
+        (text.lines().count(), text.split_whitespace().count())
+    }
+
+    #[test]
+    fn grep_block_scan_matches_lines_filter_contains() {
+        let alphabet = [
+            "a", "b", "ab", " ", "\r", "\n", "\r\n", "\t", "é", "\u{3000}", "aé",
+        ];
+        let mut g = Gen(0x6e_e9);
+        let mut cases: Vec<Vec<u8>> = ["", "\n", "\r", "a\r", "a\r\n", "\n\n", "a\n\r\r\n"]
+            .iter()
+            .map(|t| t.as_bytes().to_vec())
+            .collect();
+        for max in [80, 600] {
+            for _ in 0..200 {
+                cases.push(g.text(&alphabet, max).into_bytes());
+            }
+        }
+        // Invalid UTF-8 decodes to U+FFFD, which a pattern can then match.
+        cases.push(b"a\xff\nb\xe3\x80\n\xef\xbf\xbd\n".to_vec());
+        // A candidate's first and last byte can match around a middle that
+        // does not (`aba`, `ab a`), and a pattern can span several windows.
+        let long = "a".repeat(70) + "b";
+        let patterns = [
+            "",
+            "\r",
+            "a\r",
+            " ",
+            "aba",
+            "ab a",
+            "é",
+            "\u{3000}b",
+            "\u{fffd}",
+            "\r\n",
+            &long,
+        ];
+        cases.push(format!("{long}\n{}\r\n{long}\r", "a".repeat(140)).into_bytes());
+        let mut out = Vec::new();
+        for data in &cases {
+            for pattern in patterns {
+                out.clear();
+                grep_lines(data, pattern, &mut out);
+                assert_eq!(
+                    out,
+                    grep_reference(data, pattern),
+                    "pattern {pattern:?} over {:?}",
+                    String::from_utf8_lossy(data)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wc_kernel_matches_the_decoding_formula() {
+        // ASCII separators (VT and FF included), bytes `split_whitespace`
+        // does not split at (0x1c..=0x1f), and some non-ASCII for the
+        // fallback; inputs run past several 255-byte chunks.
+        let alphabet = [
+            "a", "bc", " ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f",
+        ];
+        let mut g = Gen(0x77_c0);
+        let mut cases: Vec<Vec<u8>> = vec![Vec::new(), b"\n".to_vec(), b"\r".to_vec()];
+        for _ in 0..300 {
+            cases.push(g.text(&alphabet, 400).into_bytes());
+        }
+        for pad in [253, 254, 255, 256] {
+            // A word straddling the first chunk edge, then a separator run.
+            let mut data = vec![b' '; pad];
+            data.extend_from_slice(b"word\x0b\x0c \r\nx");
+            cases.push(data);
+        }
+        cases.push("a\u{a0}b\u{3000}c\n".as_bytes().to_vec());
+        cases.push(b"a \xff b\n".to_vec());
+        for data in &cases {
+            assert_eq!(
+                wc_counts(data),
+                wc_reference(data),
+                "{:?}",
+                String::from_utf8_lossy(data)
+            );
+        }
+    }
 }

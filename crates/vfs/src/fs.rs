@@ -399,13 +399,14 @@ impl Vfs {
         }
     }
 
-    /// Reads up to `len` bytes starting at `offset`. Returns an empty vector
-    /// at end-of-file. Useful for streaming readers.
+    /// Copies up to `buf.len()` bytes starting at `offset` into `buf` and
+    /// returns the count; `0` at end-of-file. Streaming readers land file
+    /// bytes straight in their own buffer, with no copy in between.
     ///
     /// # Errors
     ///
     /// As [`Vfs::read`].
-    pub fn read_at(&self, path: &str, offset: u64, len: usize, user: UserId) -> Result<Vec<u8>> {
+    pub fn read_at(&self, path: &str, offset: u64, buf: &mut [u8], user: UserId) -> Result<usize> {
         let path = normalize(path);
         let state = self.state.read();
         let id = state.resolve(&path, user)?;
@@ -415,9 +416,10 @@ impl Vfs {
                 if !node.allows(user, |m| m.read) {
                     return Err(VfsError::denied(path, "read"));
                 }
-                let start = (offset as usize).min(data.len());
-                let end = start.saturating_add(len).min(data.len());
-                Ok(data[start..end].to_vec())
+                let rest = data.get(offset as usize..).unwrap_or_default();
+                let n = rest.len().min(buf.len());
+                buf[..n].copy_from_slice(&rest[..n]);
+                Ok(n)
             }
             NodeKind::Dir(_) => Err(VfsError::IsADirectory { path }),
         }
@@ -753,9 +755,12 @@ mod tests {
     fn read_at_windows() {
         let fs = world();
         fs.write("/tmp/data", b"0123456789", ALICE).unwrap();
-        assert_eq!(fs.read_at("/tmp/data", 2, 3, ALICE).unwrap(), b"234");
-        assert_eq!(fs.read_at("/tmp/data", 8, 10, ALICE).unwrap(), b"89");
-        assert_eq!(fs.read_at("/tmp/data", 100, 10, ALICE).unwrap(), b"");
+        let mut buf = [0u8; 10];
+        assert_eq!(fs.read_at("/tmp/data", 2, &mut buf[..3], ALICE).unwrap(), 3);
+        assert_eq!(&buf[..3], b"234");
+        assert_eq!(fs.read_at("/tmp/data", 8, &mut buf, ALICE).unwrap(), 2);
+        assert_eq!(&buf[..2], b"89");
+        assert_eq!(fs.read_at("/tmp/data", 100, &mut buf, ALICE).unwrap(), 0);
     }
 
     #[test]

@@ -97,7 +97,15 @@ impl ThreadGroup {
                 self.inner.name
             )));
         }
-        state.children.push(Arc::downgrade(&child.inner));
+        let children = &mut state.children;
+        if children.len() == children.capacity() {
+            // A dead `Weak` still pins its group's allocation. Prune before
+            // growing, and keep at least as much room free as survives, so
+            // the next prune is as many pushes away as this one costs.
+            children.retain(|c| c.strong_count() > 0);
+            children.reserve(children.len());
+        }
+        children.push(Arc::downgrade(&child.inner));
         Ok(child)
     }
 
@@ -414,6 +422,24 @@ mod tests {
         // `b`'s last handle dropped; the weak ref no longer upgrades.
         assert_eq!(root.children().len(), 1);
         assert_eq!(root.children()[0].name(), "a");
+    }
+
+    #[test]
+    fn dead_children_are_pruned_as_new_ones_arrive() {
+        let root = ThreadGroup::new_root("main");
+        let _kept = root.new_child("kept").unwrap();
+        for i in 0..10_000 {
+            drop(root.new_child(format!("app-{i}")).unwrap());
+        }
+        let state = root.inner.state.lock();
+        assert!(
+            state.children.len() <= 4,
+            "{} entries kept for 1 live child",
+            state.children.len()
+        );
+        assert!(state.children.capacity() <= 8);
+        drop(state);
+        assert_eq!(root.children().len(), 1);
     }
 
     #[test]

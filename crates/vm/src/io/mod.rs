@@ -52,6 +52,28 @@ pub trait ReadDevice: Send + Sync {
     /// the device is gone, [`VmError::Io`] for device-specific failures.
     fn read(&self, buf: &mut [u8]) -> Result<usize>;
 
+    /// Appends to `line` the bytes up to and including the next `\n`, and
+    /// consumes no byte past it: whatever follows stays for the next reader
+    /// (a shell's children share its stdin). Returns the bytes appended;
+    /// `Ok(0)` means end-of-file. The default takes one byte per
+    /// [`ReadDevice::read`]; a device that can see its buffered bytes
+    /// should take the whole line per call.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReadDevice::read`].
+    fn read_line(&self, line: &mut Vec<u8>) -> Result<usize> {
+        let mut byte = [0u8; 1];
+        let start = line.len();
+        while self.read(&mut byte)? == 1 {
+            line.push(byte[0]);
+            if byte[0] == b'\n' {
+                break;
+            }
+        }
+        Ok(line.len() - start)
+    }
+
     /// Releases the underlying resource. Called at most once, by the stream
     /// that owns the device.
     fn close_device(&self) {}
@@ -168,21 +190,19 @@ impl InStream {
     ///
     /// As [`InStream::read`].
     pub fn read_line(&self) -> Result<Option<String>> {
-        let mut line = Vec::new();
-        let mut byte = [0u8; 1];
-        loop {
-            let n = self.read(&mut byte)?;
-            if n == 0 {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
-            }
-            if byte[0] == b'\n' {
-                return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
-            }
-            line.push(byte[0]);
+        if self.is_closed() {
+            return Err(VmError::StreamClosed);
         }
+        let mut line = Vec::new();
+        if self.device.read_line(&mut line)? == 0 {
+            return Ok(None);
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        Ok(Some(String::from_utf8(line).unwrap_or_else(|e| {
+            String::from_utf8_lossy(e.as_bytes()).into_owned()
+        })))
     }
 
     /// Closes the stream. Only the holder that opened it may close it
@@ -427,6 +447,10 @@ impl ReadDevice for PipeReadDevice {
         self.0.read(buf)
     }
 
+    fn read_line(&self, line: &mut Vec<u8>) -> Result<usize> {
+        self.0.read_line(line)
+    }
+
     fn close_device(&self) {
         self.0.close();
     }
@@ -580,6 +604,59 @@ mod tests {
             next[slot] += 1;
         }
         assert_eq!(next, [LINES, LINES]);
+    }
+
+    #[test]
+    fn pipe_read_line_joins_a_line_split_across_writes() {
+        let (w, r) = pipe(64);
+        let input = InStream::from_pipe(r, APP_B);
+        let writer = std::thread::spawn(move || {
+            w.write_all(b"split ").unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            w.write_all(b"across\nnext").unwrap();
+            w.close();
+        });
+        assert_eq!(input.read_line().unwrap().as_deref(), Some("split across"));
+        assert_eq!(input.read_line().unwrap().as_deref(), Some("next"));
+        assert_eq!(input.read_line().unwrap(), None);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn pipe_read_line_takes_a_line_across_the_ring_seam() {
+        let (w, r) = pipe(8);
+        w.write_all(b"abcdef").unwrap();
+        let mut buf = [0u8; 5];
+        assert_eq!(r.read(&mut buf).unwrap(), 5);
+        // "f" sits at index 5; "gh\nij" wraps past the end of the 8-byte ring.
+        w.write_all(b"gh\nij").unwrap();
+        let mut line = Vec::new();
+        assert_eq!(r.read_line(&mut line).unwrap(), 4);
+        assert_eq!(line, b"fgh\n");
+        assert_eq!(r.available(), 2);
+        w.close();
+        line.clear();
+        assert_eq!(r.read_line(&mut line).unwrap(), 2, "the tail ends at eof");
+        assert_eq!(line, b"ij");
+        assert_eq!(r.read_line(&mut line).unwrap(), 0);
+    }
+
+    #[test]
+    fn pipe_read_line_leaves_the_next_lines_for_the_next_reader() {
+        // A shell reads its command line; the child it starts shares the
+        // same stdin and must find the bytes after the shell's `\n`.
+        let (w, r) = pipe(64);
+        let shell = InStream::from_pipe(r.clone(), APP_A);
+        let child = InStream::from_pipe(r, APP_B);
+        w.write_all(b"cat\nchild input\nrest").unwrap();
+        assert_eq!(shell.read_line().unwrap().as_deref(), Some("cat"));
+        let mut buf = [0u8; 6];
+        assert_eq!(child.read(&mut buf).unwrap(), 6);
+        assert_eq!(&buf, b"child ");
+        assert_eq!(child.read_line().unwrap().as_deref(), Some("input"));
+        w.close();
+        assert_eq!(shell.read_line().unwrap().as_deref(), Some("rest"));
+        assert_eq!(child.read_line().unwrap(), None);
     }
 
     #[test]

@@ -71,6 +71,35 @@ impl Ring {
         self.len -= n;
         n
     }
+
+    /// Appends buffered bytes to `out` up to and including the first `\n`,
+    /// leaving every byte after it buffered. Returns the count taken and
+    /// whether a `\n` ended it.
+    fn read_line_into(&mut self, out: &mut Vec<u8>) -> (usize, bool) {
+        let first = self.len.min(self.capacity() - self.head);
+        let segments = [
+            &self.buf[self.head..self.head + first],
+            &self.buf[..self.len - first],
+        ];
+        let (mut n, mut ended) = (0, false);
+        for segment in segments {
+            let take = match segment.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    ended = true;
+                    i + 1
+                }
+                None => segment.len(),
+            };
+            out.extend_from_slice(&segment[..take]);
+            n += take;
+            if ended {
+                break;
+            }
+        }
+        self.head = (self.head + n) % self.capacity();
+        self.len -= n;
+        (n, ended)
+    }
 }
 
 #[derive(Debug)]
@@ -255,41 +284,63 @@ impl PipeReader {
         if wanted == 0 {
             return Ok(0);
         }
+        self.drain(|ring| {
+            let mut total = 0;
+            for buf in bufs.iter_mut() {
+                let n = ring.read_into(buf);
+                total += n;
+                if n < buf.len() {
+                    break;
+                }
+            }
+            (total, true)
+        })
+    }
+
+    /// Appends to `line` the bytes up to and including the next `\n`, under
+    /// one lock acquisition per wakeup rather than one per byte. Never
+    /// consumes a byte past the `\n`: readers sharing this pipe (a shell
+    /// and the children that inherit its stdin) each get their own lines.
+    /// Returns the bytes appended; `Ok(0)` is end-of-file, and a last line
+    /// with no `\n` is returned at end-of-file.
+    ///
+    /// # Errors
+    ///
+    /// As [`PipeReader::read`]; bytes already taken for the line are lost
+    /// with the error, as they would be with byte-sized reads.
+    pub fn read_line(&self, line: &mut Vec<u8>) -> Result<usize> {
+        self.drain(|ring| ring.read_line_into(line))
+    }
+
+    /// The blocking read loop behind [`PipeReader::read_vectored`] and
+    /// [`PipeReader::read_line`]. `take` moves bytes out of a non-empty
+    /// ring and says whether the read is done; a read that is not done
+    /// blocks for more, and end-of-file ends it. Each take releases its
+    /// ledger charge and wakes writers; one `pipe.read` span covers the
+    /// whole call.
+    fn drain(&self, mut take: impl FnMut(&mut Ring) -> (usize, bool)) -> Result<usize> {
         let timer = self.shared.recorder.as_ref().and_then(|r| r.timer());
         let mut waker: Option<InterruptWakerGuard> = None;
+        let mut total = 0;
         let mut state = self.shared.state.lock();
         loop {
             if state.read_closed {
                 return Err(VmError::StreamClosed);
             }
             if !state.ring.is_empty() {
-                let mut total = 0;
-                for buf in bufs.iter_mut() {
-                    let n = state.ring.read_into(buf);
-                    total += n;
-                    if n < buf.len() {
-                        break;
-                    }
-                }
+                let (n, done) = take(&mut state.ring);
+                total += n;
                 self.shared.writable.notify_all();
                 if let Some(owner) = &self.shared.owner {
-                    owner.uncharge(ResourceKind::PipeBytes, total as u64);
+                    owner.uncharge(ResourceKind::PipeBytes, n as u64);
                 }
-                if let (Some(recorder), Some(ctx)) = (&self.shared.recorder, state.trace) {
-                    // Charge the read to the writer's trace; an untraced
-                    // reader thread adopts that context outright, so the
-                    // trace follows the data to whatever the reader does
-                    // next.
-                    if trace::current().is_none() {
-                        trace::install(Some(ctx));
-                    }
-                    let latency = timer.map_or(0, |t| recorder.elapsed_ns(t));
-                    recorder.record_with_ctx(SpanCategory::Pipe, "pipe.read", ctx, None, latency);
+                if done {
+                    break;
                 }
-                return Ok(total);
+                continue;
             }
             if state.write_closed {
-                return Ok(0);
+                break;
             }
             // Block for real: register the interrupt waker (once) before the
             // final interrupt check so an interrupt between check and wait is
@@ -300,6 +351,17 @@ impl PipeReader {
             check_interrupt()?;
             self.shared.readable.wait(&mut state);
         }
+        if let (true, Some(recorder), Some(ctx)) = (total > 0, &self.shared.recorder, state.trace) {
+            // Charge the read to the writer's trace; an untraced reader
+            // thread adopts that context outright, so the trace follows the
+            // data to whatever the reader does next.
+            if trace::current().is_none() {
+                trace::install(Some(ctx));
+            }
+            let latency = timer.map_or(0, |t| recorder.elapsed_ns(t));
+            recorder.record_with_ctx(SpanCategory::Pipe, "pipe.read", ctx, None, latency);
+        }
+        Ok(total)
     }
 
     /// Closes the read end. Subsequent writes to the other end fail with

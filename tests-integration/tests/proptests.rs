@@ -623,6 +623,30 @@ fn stream_input(g: &mut Gen, target: usize) -> Vec<u8> {
     data
 }
 
+/// Seeded ASCII lines of about `target` bytes: words over `abkx` separated
+/// by runs of space, tab, VT, FF and bare `\r`, with CRLF endings and
+/// sometimes no final newline.
+fn ascii_input(g: &mut Gen, target: usize) -> Vec<u8> {
+    let mut data = Vec::new();
+    while data.len() < target {
+        for w in 0..g.below(12) {
+            if w > 0 {
+                for _ in 0..=g.below(3) {
+                    data.push(b" \t\x0b\x0c\r "[g.below(6) as usize]);
+                }
+            }
+            for _ in 0..=g.below(8) {
+                data.push(b"abkx"[g.below(4) as usize]);
+            }
+        }
+        data.extend_from_slice(if g.below(4) == 0 { b"\r\n" } else { b"\n" });
+    }
+    if g.bool() {
+        data.pop();
+    }
+    data
+}
+
 #[test]
 fn streaming_grep_and_wc_match_the_whole_input_formulas() {
     use jmp_vm::io::{InStream, IoToken, MemSink, OutStream, DEFAULT_PIPE_CAPACITY};
@@ -648,6 +672,27 @@ fn streaming_grep_and_wc_match_the_whole_input_formulas() {
         let target = g.below(3 * DEFAULT_PIPE_CAPACITY as u64) as usize;
         inputs.push(stream_input(&mut g, target));
     }
+    // ASCII-only inputs, which `wc` and `grep` count and scan as raw bytes.
+    // VT, FF and a bare `\r` inside lines, and a `\r` at end-of-file with
+    // no final newline.
+    inputs.push(b"kx\x0bkx\x0cb\rkx\r\n\x0b\x0c\n a\rb kx\r".to_vec());
+    // Words straddling each 255-byte chunk edge of the `wc` kernel, and
+    // separator runs.
+    let mut edges = Vec::new();
+    for pad in 250..260 {
+        edges.extend(std::iter::repeat_n(b"\t \x0b\x0c\r "[pad % 6], pad));
+        edges.extend_from_slice(b"kx  \t\tab\x0b\x0ckx\r\n");
+    }
+    inputs.push(edges);
+    for _ in 0..3 {
+        let target = g.below(3 * DEFAULT_PIPE_CAPACITY as u64) as usize;
+        inputs.push(ascii_input(&mut g, target));
+    }
+    // One ASCII line longer than a read, then a short one.
+    let mut long = ascii_input(&mut g, 2 * DEFAULT_PIPE_CAPACITY);
+    long.retain(|&b| b != b'\n');
+    long.extend_from_slice(b"\nkx\n");
+    inputs.push(long);
 
     let rt = tests_integration::runtime();
     let alice = rt.users().lookup("alice").unwrap();

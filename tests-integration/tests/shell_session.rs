@@ -134,3 +134,65 @@ fn error_in_one_command_does_not_kill_the_session() {
     assert!(screen.contains("\nrecovered\n"));
     rt.shutdown();
 }
+
+#[test]
+fn a_long_lived_shell_lets_go_of_its_pipes_and_redirects() {
+    // The shell owns the pipes and redirect files it creates for a command.
+    // Once the command is done it must close them *and* stop owning them;
+    // otherwise every pipeline leaves two handles and a 64 KiB pipe ring on
+    // the shell until the session ends.
+    use jmp_vm::io::{pipe, InStream, IoToken, OutStream, DEFAULT_PIPE_CAPACITY};
+    use jmp_vm::ResourceKind;
+
+    let rt = runtime();
+    let alice = rt.users().lookup("alice").unwrap();
+    rt.vfs()
+        .write("/home/alice/f", b"kx one\nno\nkx two\n", alice.id())
+        .unwrap();
+    let (in_w, in_r) = pipe(DEFAULT_PIPE_CAPACITY);
+    let (out_w, out_r) = pipe(DEFAULT_PIPE_CAPACITY);
+    let out = OutStream::from_pipe(out_w, IoToken::SYSTEM);
+    let login = rt
+        .launch_with(
+            "system",
+            "login",
+            &["alice", "apw"],
+            Some(InStream::from_pipe(in_r, IoToken::SYSTEM)),
+            Some(out.clone()),
+            Some(out),
+        )
+        .unwrap();
+    let commands =
+        "cat f | grep kx | wc\nwc < f\ngrep kx < f > o\ncat f | grep kx | wc > o\necho sync\n";
+    for _ in 0..4 {
+        in_w.write_all(commands.as_bytes()).unwrap();
+    }
+    // Commands run one at a time, so the last `sync` means every earlier
+    // command has finished and been cleaned up after.
+    let output = InStream::from_pipe(out_r, IoToken::SYSTEM);
+    let mut syncs = 0;
+    while syncs < 4 {
+        let line = output.read_line().unwrap().expect("the session is open");
+        if line == "sync" {
+            syncs += 1;
+        } else {
+            assert!(line == "2 4 14" || line == "3 5 17", "unexpected {line:?}");
+        }
+    }
+    let shell = rt
+        .applications()
+        .into_iter()
+        .find(|app| app.name() == "shell")
+        .expect("the session's shell is running");
+    assert_eq!(shell.owned_stream_count(), 0);
+    let ledger = shell.context().ledger();
+    assert_eq!(ledger.get(ResourceKind::Handles), 0);
+    assert!(
+        ledger.get(ResourceKind::Memory) < DEFAULT_PIPE_CAPACITY as u64,
+        "no pipe ring is still charged to the shell: {ledger:?}"
+    );
+    in_w.write_all(b"quit\n").unwrap();
+    in_w.close();
+    assert_eq!(login.wait_for().unwrap(), 0);
+    rt.shutdown();
+}
